@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "ml/dataset.hpp"
 #include "ml/decision_tree.hpp"
 #include "ml/random_forest.hpp"
+#include "util/numeric.hpp"
 #include "util/rng.hpp"
 
 namespace moela::ml {
@@ -198,6 +201,77 @@ TEST_P(ForestTargetSweep, BeatsMeanPredictor) {
 
 INSTANTIATE_TEST_SUITE_P(Targets, ForestTargetSweep,
                          ::testing::Values(0, 1, 2, 3));
+
+// A tie-heavy dataset shaped like MOELA's NoC features: a one-hot block, a
+// complementary one-hot pair, small-integer counts, a two-level column and
+// two columns that never vary. With bootstrap duplicates on top, nearly
+// every split candidate sits among equal keys, so the order in which the
+// split search visits tied samples decides every prefix sum, and the
+// complementary pair ties exactly in real arithmetic, so rounding alone
+// picks between them.
+Dataset make_tie_heavy_dataset(std::size_t n, util::Rng& rng) {
+  Dataset d(12);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> x(12, 0.0);
+    x[rng.below(4)] = 1.0;
+    x[4 + rng.below(2)] = 1.0;
+    x[6] = static_cast<double>(rng.below(5));
+    x[7] = static_cast<double>(rng.below(3));
+    x[8] = 1.0;
+    x[10] = 0.5 * static_cast<double>(rng.below(2));
+    x[11] = static_cast<double>(rng.below(4));
+    const double y = 3.0 * x[0] + x[4] - 0.25 * x[6] + x[7] * x[10] +
+                     0.1 * static_cast<double>(rng.below(4));
+    d.add(std::move(x), y);
+  }
+  return d;
+}
+
+TEST(RandomForest, TieOrderPinnedOnTieHeavyData) {
+  // Generated by the straightforward index-sorting split search; a faster
+  // split search must reproduce every bit.
+  const std::vector<std::string> expected = {
+      "0x1.25c28f5c28f5dp-1",
+      "0x1.6b528a6528a65p+0",
+      "0x1.affa9c4b73df9p+1",
+      "-0x1.069536202ecfbp-1",
+      "0x1.97b1b1b1b1b1bp+1",
+      "-0x1.251eb851eb852p-1",
+      "0x1.622bc55ef8923p+1",
+      "0x1.39a04fdad3831p+1",
+      "0x1.6b528a6528a65p+0",
+      "0x1.f6639b7639b78p+0",
+  };
+  util::Rng data_rng(41);
+  const Dataset d = make_tie_heavy_dataset(160, data_rng);
+  ForestConfig config;
+  config.num_trees = 8;
+  RandomForest forest(config);
+  util::Rng fit_rng(42);
+  forest.fit(d, fit_rng);
+  const Dataset probes = make_tie_heavy_dataset(10, data_rng);
+  std::vector<std::string> actual;
+  for (std::size_t i = 0; i < probes.size(); ++i) {
+    actual.push_back(util::hexfloat(forest.predict(probes.features(i))));
+  }
+  EXPECT_EQ(actual, expected);
+}
+
+TEST(DecisionTree, AllColumnsConstantAtRootGivesSingleLeaf) {
+  Dataset d(3);
+  double sum = 0.0;
+  for (int i = 0; i < 20; ++i) {
+    const double y = 0.5 * static_cast<double>(i % 7);
+    sum += y;
+    d.add({1.0, 0.0, 4.0}, y);
+  }
+  util::Rng rng(11);
+  DecisionTree tree;
+  tree.fit(d, {}, rng);
+  EXPECT_EQ(tree.node_count(), 1u);
+  EXPECT_EQ(tree.predict(std::vector<double>{1.0, 0.0, 4.0}), sum / 20.0);
+  EXPECT_EQ(tree.predict(std::vector<double>{9.0, 9.0, 9.0}), sum / 20.0);
+}
 
 }  // namespace
 }  // namespace moela::ml
