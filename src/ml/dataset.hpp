@@ -31,11 +31,6 @@ class Dataset {
   }
   double target(std::size_t i) const { return targets_[i]; }
 
-  const std::deque<std::vector<double>>& all_features() const {
-    return features_;
-  }
-  const std::deque<double>& all_targets() const { return targets_; }
-
  private:
   std::size_t num_features_;
   std::size_t capacity_;

@@ -10,9 +10,17 @@ namespace moela::ml {
 
 namespace {
 
-double mean_target(const Dataset& data, std::span<const std::size_t> idx) {
+/// One sample of a node as its split search sees it: the candidate feature's
+/// value and the target, gathered side by side.
+struct KeyTarget {
+  double x;
+  double y;
+};
+
+double mean_target(const std::vector<double>& targets,
+                   std::span<const std::size_t> idx) {
   double s = 0.0;
-  for (std::size_t i : idx) s += data.target(i);
+  for (std::size_t i : idx) s += targets[i];
   return idx.empty() ? 0.0 : s / static_cast<double>(idx.size());
 }
 
@@ -23,34 +31,44 @@ struct SplitResult {
   double threshold = 0.0;
 };
 
-SplitResult best_split_on_feature(const Dataset& data,
+SplitResult best_split_on_feature(const double* feature, const double* targets,
                                   std::span<const std::size_t> idx,
-                                  std::size_t feature,
                                   std::size_t min_samples_leaf,
-                                  std::vector<std::size_t>& scratch) {
-  scratch.assign(idx.begin(), idx.end());
-  std::sort(scratch.begin(), scratch.end(), [&](std::size_t a, std::size_t b) {
-    return data.features(a)[feature] < data.features(b)[feature];
-  });
+                                  std::vector<KeyTarget>& pairs) {
+  // Gather in `idx` order (never empty: nodes are built on non-empty
+  // ranges). std::sort's permutation depends only on its input order and
+  // its comparison outcomes, so sorting the gathered pairs by x alone visits
+  // tied samples exactly as sorting the indices would.
+  const double first = feature[idx.front()];
+  bool constant = true;
+  pairs.resize(idx.size());
+  for (std::size_t k = 0; k < idx.size(); ++k) {
+    const std::size_t i = idx[k];
+    pairs[k] = {feature[i], targets[i]};
+    constant &= feature[i] == first;
+  }
+  // No boundary between distinct values: the scan below would find none.
+  if (constant) return {};
+  std::sort(pairs.begin(), pairs.end(),
+            [](const KeyTarget& a, const KeyTarget& b) { return a.x < b.x; });
 
-  const std::size_t n = scratch.size();
+  const std::size_t n = pairs.size();
   // Prefix sums allow O(1) SSE of each side:
   //   SSE = sum(y^2) - (sum y)^2 / n.
   double left_sum = 0.0, left_sq = 0.0;
   double total_sum = 0.0, total_sq = 0.0;
-  for (std::size_t i : scratch) {
-    const double y = data.target(i);
-    total_sum += y;
-    total_sq += y * y;
+  for (const KeyTarget& p : pairs) {
+    total_sum += p.y;
+    total_sq += p.y * p.y;
   }
 
   SplitResult best;
   for (std::size_t k = 0; k + 1 < n; ++k) {
-    const double y = data.target(scratch[k]);
+    const double y = pairs[k].y;
     left_sum += y;
     left_sq += y * y;
-    const double xk = data.features(scratch[k])[feature];
-    const double xn = data.features(scratch[k + 1])[feature];
+    const double xk = pairs[k].x;
+    const double xn = pairs[k + 1].x;
     if (xk == xn) continue;  // cannot split between equal values
     const std::size_t nl = k + 1;
     const std::size_t nr = n - nl;
@@ -71,15 +89,36 @@ SplitResult best_split_on_feature(const Dataset& data,
 
 }  // namespace
 
+DecisionTree::Columns::Columns(const Dataset& data)
+    : rows(data.size()),
+      num_features(data.num_features()),
+      x(rows * num_features),
+      y(rows) {
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto row = data.features(i);
+    for (std::size_t f = 0; f < num_features; ++f) x[f * rows + i] = row[f];
+    y[i] = data.target(i);
+  }
+}
+
+/// The columns and settings of one fit, the sample indices its nodes
+/// partition in place, and the gather buffer every node's split search
+/// reuses.
+struct DecisionTree::Grower {
+  const Columns& data;
+  const TreeConfig& config;
+  util::Rng& rng;
+  std::vector<Node>& nodes;
+  std::vector<std::size_t> indices;
+  std::vector<KeyTarget> pairs;
+
+  std::size_t grow(std::size_t begin, std::size_t end, std::size_t depth);
+};
+
 void DecisionTree::fit(const Dataset& data,
                        std::span<const std::size_t> sample_indices,
                        const TreeConfig& config, util::Rng& rng) {
-  if (sample_indices.empty()) {
-    throw std::invalid_argument("DecisionTree::fit: no samples");
-  }
-  nodes_.clear();
-  std::vector<std::size_t> idx(sample_indices.begin(), sample_indices.end());
-  build(data, idx, 0, idx.size(), config, 0, rng);
+  fit(Columns(data), sample_indices, config, rng);
 }
 
 void DecisionTree::fit(const Dataset& data, const TreeConfig& config,
@@ -89,16 +128,25 @@ void DecisionTree::fit(const Dataset& data, const TreeConfig& config,
   fit(data, all, config, rng);
 }
 
-std::size_t DecisionTree::build(const Dataset& data,
-                                std::vector<std::size_t>& indices,
-                                std::size_t begin, std::size_t end,
-                                const TreeConfig& config, std::size_t depth,
-                                util::Rng& rng) {
-  const std::size_t node_id = nodes_.size();
-  nodes_.emplace_back();
+void DecisionTree::fit(const Columns& data,
+                       std::span<const std::size_t> sample_indices,
+                       const TreeConfig& config, util::Rng& rng) {
+  if (sample_indices.empty()) {
+    throw std::invalid_argument("DecisionTree::fit: no samples");
+  }
+  nodes_.clear();
+  Grower grower{data, config, rng, nodes_,
+                  {sample_indices.begin(), sample_indices.end()}, {}};
+  grower.grow(0, grower.indices.size(), 0);
+}
+
+std::size_t DecisionTree::Grower::grow(std::size_t begin, std::size_t end,
+                                         std::size_t depth) {
+  const std::size_t node_id = nodes.size();
+  nodes.emplace_back();
   std::span<const std::size_t> idx(indices.data() + begin, end - begin);
-  const double value = mean_target(data, idx);
-  nodes_[node_id].value = value;
+  const double value = mean_target(data.y, idx);
+  nodes[node_id].value = value;
 
   const std::size_t n = end - begin;
   bool make_leaf = depth >= config.max_depth || n < config.min_samples_split;
@@ -106,7 +154,7 @@ std::size_t DecisionTree::build(const Dataset& data,
     // Leaf if targets are (numerically) constant.
     bool constant = true;
     for (std::size_t i : idx) {
-      if (std::abs(data.target(i) - value) > 1e-12) {
+      if (std::abs(data.y[i] - value) > 1e-12) {
         constant = false;
         break;
       }
@@ -117,7 +165,7 @@ std::size_t DecisionTree::build(const Dataset& data,
 
   // Candidate features: a random subset of size max_features (forest mode)
   // or all features.
-  const std::size_t f = data.num_features();
+  const std::size_t f = data.num_features;
   std::vector<std::size_t> feats;
   if (config.max_features == 0 || config.max_features >= f) {
     feats.resize(f);
@@ -128,10 +176,10 @@ std::size_t DecisionTree::build(const Dataset& data,
 
   SplitResult best;
   std::size_t best_feature = Node::kLeaf;
-  std::vector<std::size_t> scratch;
   for (std::size_t feature : feats) {
-    const SplitResult r = best_split_on_feature(
-        data, idx, feature, config.min_samples_leaf, scratch);
+    const SplitResult r =
+        best_split_on_feature(data.feature(feature), data.y.data(), idx,
+                              config.min_samples_leaf, pairs);
     if (r.sse < best.sse) {
       best = r;
       best_feature = feature;
@@ -140,23 +188,21 @@ std::size_t DecisionTree::build(const Dataset& data,
   if (best_feature == Node::kLeaf) return node_id;  // no valid split found
 
   // Partition [begin, end) in place around the chosen threshold.
+  const double* column = data.feature(best_feature);
   auto mid_it = std::partition(
       indices.begin() + static_cast<std::ptrdiff_t>(begin),
-      indices.begin() + static_cast<std::ptrdiff_t>(end), [&](std::size_t i) {
-        return data.features(i)[best_feature] <= best.threshold;
-      });
+      indices.begin() + static_cast<std::ptrdiff_t>(end),
+      [&](std::size_t i) { return column[i] <= best.threshold; });
   const auto mid =
       static_cast<std::size_t>(mid_it - indices.begin());
   if (mid == begin || mid == end) return node_id;  // degenerate partition
 
-  nodes_[node_id].feature = best_feature;
-  nodes_[node_id].threshold = best.threshold;
-  const std::size_t left =
-      build(data, indices, begin, mid, config, depth + 1, rng);
-  const std::size_t right =
-      build(data, indices, mid, end, config, depth + 1, rng);
-  nodes_[node_id].left = left;
-  nodes_[node_id].right = right;
+  nodes[node_id].feature = best_feature;
+  nodes[node_id].threshold = best.threshold;
+  const std::size_t left = grow(begin, mid, depth + 1);
+  const std::size_t right = grow(mid, end, depth + 1);
+  nodes[node_id].left = left;
+  nodes[node_id].right = right;
   return node_id;
 }
 

@@ -3,7 +3,9 @@
 //
 // The tree is the base learner of the random forest that implements MOELA's
 // (and MOO-STAGE's) learned evaluation function. Exact split search over all
-// candidate thresholds of a random feature subset per node.
+// candidate thresholds of a random feature subset per node. The search reads
+// a column-major copy of the training window, made once per fit (once per
+// forest when a RandomForest drives the fit).
 #pragma once
 
 #include <cstddef>
@@ -51,10 +53,26 @@ class DecisionTree {
     std::size_t right = 0;
   };
 
-  std::size_t build(const Dataset& data, std::vector<std::size_t>& indices,
-                    std::size_t begin, std::size_t end,
-                    const TreeConfig& config, std::size_t depth,
-                    util::Rng& rng);
+  friend class RandomForest;
+
+  /// Column-major copy of a Dataset window: feature f of sample i is
+  /// x[f * rows + i]. Each node's split search gathers from one contiguous
+  /// column instead of chasing one heap row per sample.
+  struct Columns {
+    explicit Columns(const Dataset& data);
+    const double* feature(std::size_t f) const { return x.data() + f * rows; }
+
+    std::size_t rows;
+    std::size_t num_features;
+    std::vector<double> x;
+    std::vector<double> y;
+  };
+
+  /// One fit's working state (defined in decision_tree.cpp).
+  struct Grower;
+
+  void fit(const Columns& data, std::span<const std::size_t> sample_indices,
+           const TreeConfig& config, util::Rng& rng);
 
   std::vector<Node> nodes_;
 };

@@ -27,11 +27,13 @@ void RandomForest::fit(const Dataset& data, util::Rng& rng) {
       1, static_cast<std::size_t>(std::llround(
              config_.subsample * static_cast<double>(n))));
 
+  // One column-major copy of the window serves every tree's split search.
+  const DecisionTree::Columns columns(data);
   std::vector<std::size_t> bootstrap(sample_size);
   for (std::size_t t = 0; t < config_.num_trees; ++t) {
     for (auto& b : bootstrap) b = rng.below(n);  // with replacement
     DecisionTree tree;
-    tree.fit(data, bootstrap, tree_config, rng);
+    tree.fit(columns, bootstrap, tree_config, rng);
     trees_.push_back(std::move(tree));
   }
 }

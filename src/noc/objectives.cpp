@@ -76,29 +76,21 @@ NocObjectives evaluate_objectives(const PlatformSpec& spec,
 
       double path_delay = 0.0;
       double path_link_energy = 0.0;
+      // Router energy: every router on the path (hops + 1 of them,
+      // including source and destination) spends E_r per port it has. The
+      // walk runs from the destination back to the source, so the
+      // destination's term comes first.
+      double router_energy =
+          params.e_router * static_cast<double>(adj.degree(dst));
       int hops = 0;
       routes.for_each_hop(src, dst, [&](TileId a, TileId b) {
         const std::size_t k = link_index.of(a, b);
         util[k] += f;
         path_delay += link_delay[k];
         path_link_energy += link_length[k] * params.e_link;
+        router_energy += params.e_router * static_cast<double>(adj.degree(a));
         ++hops;
       });
-
-      // Router energy: every router on the path (hops + 1 of them,
-      // including source and destination) spends E_r per port it has.
-      double router_energy = 0.0;
-      {
-        TileId cur = dst;
-        router_energy +=
-            params.e_router * static_cast<double>(adj.degree(dst));
-        routes.for_each_hop(src, dst, [&](TileId a, TileId b) {
-          (void)b;
-          router_energy +=
-              params.e_router * static_cast<double>(adj.degree(a));
-          cur = a;
-        });
-      }
 
       energy += f * (path_link_energy + router_energy);
       traffic_total += f;

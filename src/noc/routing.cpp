@@ -48,13 +48,15 @@ std::vector<TileId> RoutingTable::path(TileId s, TileId t) const {
   return out;
 }
 
-std::size_t LinkIndex::of(TileId a, TileId b) const {
-  const Link key(a, b);
-  const auto it = std::lower_bound(links_->begin(), links_->end(), key);
-  if (it == links_->end() || !(*it == key)) {
-    throw std::logic_error("LinkIndex::of: link not in set");
+LinkIndex::LinkIndex(const std::vector<Link>& links)
+    : size_(links.size()), tiles_(0) {
+  for (const Link& l : links) {
+    tiles_ = std::max<std::size_t>(tiles_, std::size_t{l.b} + 1);
   }
-  return static_cast<std::size_t>(it - links_->begin());
+  table_.assign(tiles_ * tiles_, kNone);
+  for (std::size_t k = 0; k < links.size(); ++k) {
+    table_[links[k].a * tiles_ + links[k].b] = static_cast<std::uint32_t>(k);
+  }
 }
 
 }  // namespace moela::noc

@@ -8,6 +8,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <stdexcept>
 #include <vector>
 
 #include "noc/design.hpp"
@@ -56,18 +58,29 @@ class RoutingTable {
 };
 
 /// Maps each link of a canonical (sorted) link set to its index; used to
-/// accumulate per-link utilization u_k.
+/// accumulate per-link utilization u_k. A dense tile-pair table makes each
+/// lookup O(1) on the per-hop path of the traffic sweep.
 class LinkIndex {
  public:
-  explicit LinkIndex(const std::vector<Link>& links) : links_(&links) {}
+  explicit LinkIndex(const std::vector<Link>& links);
 
   /// Index of the link {a, b}; the link must exist in the set.
-  std::size_t of(TileId a, TileId b) const;
+  std::size_t of(TileId a, TileId b) const {
+    const Link key(a, b);
+    const std::uint32_t k =
+        key.b < tiles_ ? table_[key.a * tiles_ + key.b] : kNone;
+    if (k == kNone) throw std::logic_error("LinkIndex::of: link not in set");
+    return k;
+  }
 
-  std::size_t size() const { return links_->size(); }
+  std::size_t size() const { return size_; }
 
  private:
-  const std::vector<Link>* links_;
+  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
+
+  std::size_t size_;
+  std::size_t tiles_;  // one past the largest tile id of any link
+  std::vector<std::uint32_t> table_;  // [a * tiles_ + b] for a < b
 };
 
 }  // namespace moela::noc
