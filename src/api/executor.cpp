@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <stdexcept>
 #include <utility>
 
 #include <unistd.h>
@@ -76,9 +77,28 @@ bool write_snapshot_file(const std::string& path,
   return true;
 }
 
+std::size_t class_index(Priority priority) {
+  return static_cast<std::size_t>(priority);
+}
+
 }  // namespace
 
-Executor::Executor(ExecutorConfig config) : config_(config) {
+/// Everything one queued run needs to execute and answer its future. Held
+/// by shared_ptr because QueueItem::work is a copyable std::function.
+struct Executor::Job {
+  RunRequest request;
+  RunControl* control = nullptr;
+  std::size_t index = 0;
+  std::shared_ptr<BatchState> batch;
+  std::promise<RunReport> promise;
+  /// Started at admission; read when a worker dequeues the run, so the
+  /// per-class queue-wait histogram measures time spent waiting, not
+  /// running.
+  util::Timer queued_at;
+};
+
+Executor::Executor(ExecutorConfig config)
+    : config_(config), queue_(config.weights) {
   if (config_.run_log == nullptr) config_.run_log = RunLogger::from_env();
   if (config_.metrics != nullptr) {
     snapshots_written_ = &config_.metrics->counter(
@@ -87,12 +107,18 @@ Executor::Executor(ExecutorConfig config) : config_(config) {
     runs_resumed_ = &config_.metrics->counter(
         "moela_runs_resumed_total",
         "Runs resumed from a RunSnapshot instead of starting fresh");
+    for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
+      queue_wait_[cls] = &config_.metrics->histogram(
+          "moela_sched_queue_wait_seconds",
+          "Admission-to-dispatch wait of scheduled runs by priority class",
+          util::exponential_bounds(0.001, 4.0, 12),
+          {{"class", priority_name(static_cast<Priority>(cls))}});
+    }
   }
   jobs_ = config.jobs;
   if (jobs_ == 0) {
     jobs_ = std::max(1u, std::thread::hardware_concurrency());
   }
-  if (!config_.pool) return;  // execute_one-only: the owner brings threads
   workers_.reserve(jobs_);
   for (std::size_t i = 0; i < jobs_; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -108,59 +134,122 @@ Executor::~Executor() {
   for (auto& worker : workers_) worker.join();
 }
 
-void Executor::worker_loop() {
-  for (;;) {
-    std::packaged_task<RunReport()> task;
-    {
-      util::MutexLock lock(mutex_);
-      while (!shutting_down_ && queue_.empty()) wake_.wait(lock);
-      if (queue_.empty()) return;  // shutting down and drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();  // exceptions land in the task's future
-  }
+std::uint64_t Executor::retry_after_hint(std::size_t queue_depth) const {
+  const std::uint64_t hint = 50 * (1 + queue_depth / jobs_);
+  return std::min<std::uint64_t>(hint, 5000);
 }
 
-std::vector<std::future<RunReport>> Executor::submit(
-    std::vector<RunRequest> requests, RunControl* control) {
-  if (!config_.pool) {
-    throw std::logic_error(
-        "Executor: pool disabled (ExecutorConfig::pool = false); drive "
-        "execute_one from the owning scheduler instead");
-  }
+Executor::Admission Executor::submit(std::vector<RunRequest> requests,
+                                     RunControl* control, Priority priority,
+                                     std::uint64_t lane) {
+  const std::size_t n = requests.size();
+  const std::size_t cls = class_index(priority);
+  Admission admission;
   auto batch = std::make_shared<BatchState>();
-  batch->total = requests.size();
-  std::vector<std::future<RunReport>> futures;
-  futures.reserve(requests.size());
+  batch->total = n;
+  admission.futures.reserve(n);
   {
     util::MutexLock lock(mutex_);
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      std::packaged_task<RunReport()> task(
-          [this, request = std::move(requests[i]), control, i, batch] {
-            return execute(request, control, i, batch);
-          });
-      futures.push_back(task.get_future());
-      queue_.push_back(std::move(task));
+    // Admission is all-or-nothing ON THE QUEUED BACKLOG: work in flight
+    // is capacity being used, not load waiting, so it does not count
+    // against the bound.
+    if (queue_.size() + n > config_.max_queued) {
+      admission.queue_depth = queue_.size();
+      admission.retry_after_ms = retry_after_hint(queue_.size());
+      admission.futures.clear();
+      counters_[cls].shed += n;
+      return admission;
     }
+    for (std::size_t i = 0; i < n; ++i) {
+      auto job = std::make_shared<Job>();
+      job->request = std::move(requests[i]);
+      job->control = control;
+      job->index = i;
+      job->batch = batch;
+      admission.futures.push_back(job->promise.get_future());
+      QueueItem item;
+      // The counters settle BEFORE the promise: a caller that has seen its
+      // report must never read a snapshot still counting that run as
+      // running — the health verb is how clients observe the queue.
+      item.work = [this, job, cls] {
+        if (queue_wait_[cls] != nullptr) {
+          queue_wait_[cls]->observe(job->queued_at.elapsed_seconds());
+        }
+        try {
+          RunReport report =
+              execute(job->request, job->control, job->index, job->batch);
+          retire(cls);
+          job->promise.set_value(std::move(report));
+        } catch (...) {
+          retire(cls);
+          job->promise.set_exception(std::current_exception());
+        }
+      };
+      queue_.push(priority, lane, std::move(item));
+    }
+    admission.admitted = true;
+    admission.queue_depth = queue_.size();
   }
   wake_.notify_all();
-  return futures;
+  return admission;
 }
 
 std::vector<RunReport> Executor::run_all(std::vector<RunRequest> requests,
                                          RunControl* control) {
-  auto futures = submit(std::move(requests), control);
+  const std::size_t n = requests.size();
+  Admission admission = submit(std::move(requests), control);
+  if (!admission.admitted) {
+    throw std::runtime_error(
+        "Executor: batch shed (" + util::dec(admission.queue_depth) +
+        " run(s) queued + " + util::dec(n) + " requested > max_queued " +
+        util::dec(config_.max_queued) + ")");
+  }
   std::vector<RunReport> reports;
-  reports.reserve(futures.size());
-  for (auto& future : futures) reports.push_back(future.get());
+  reports.reserve(n);
+  for (auto& future : admission.futures) reports.push_back(future.get());
   return reports;
 }
 
-RunReport Executor::execute_one(const RunRequest& request,
-                                RunControl* control, std::size_t index,
-                                const std::shared_ptr<BatchState>& batch) {
-  return execute(request, control, index, batch);
+void Executor::retire(std::size_t cls) {
+  util::MutexLock lock(mutex_);
+  --counters_[cls].running;
+  ++counters_[cls].completed;
+}
+
+void Executor::worker_loop() {
+  for (;;) {
+    Priority priority = Priority::kNormal;
+    QueueItem item;
+    {
+      util::MutexLock lock(mutex_);
+      while (!shutting_down_ && queue_.empty()) wake_.wait(lock);
+      if (queue_.empty()) return;  // shutting down and drained
+      queue_.pop(priority, item);
+      ++counters_[class_index(priority)].running;
+    }
+    item.work();  // settles the counters; exceptions land in the promise
+  }
+}
+
+ClassCounters Executor::counters(Priority priority) const {
+  util::MutexLock lock(mutex_);
+  ClassCounters out = counters_[class_index(priority)];
+  out.queued = queue_.size(priority);
+  return out;
+}
+
+std::size_t Executor::queued_total() const {
+  util::MutexLock lock(mutex_);
+  return queue_.size();
+}
+
+std::size_t Executor::running_total() const {
+  util::MutexLock lock(mutex_);
+  std::size_t running = 0;
+  for (const ClassCounters& counters : counters_) {
+    running += counters.running;
+  }
+  return running;
 }
 
 RunReport Executor::execute(const RunRequest& request, RunControl* control,

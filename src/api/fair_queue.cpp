@@ -1,8 +1,8 @@
-#include "serve/sched/queue.hpp"
+#include "api/fair_queue.hpp"
 
 #include <utility>
 
-namespace moela::serve::sched {
+namespace moela::api {
 
 FairQueue::FairQueue(Weights weights) : weights_(weights) {
   for (std::size_t c = 0; c < kNumClasses; ++c) {
@@ -59,4 +59,4 @@ bool FairQueue::pop(Priority& priority_out, QueueItem& item_out) {
   return false;  // unreachable while size_ > 0; defensive
 }
 
-}  // namespace moela::serve::sched
+}  // namespace moela::api

@@ -1,4 +1,4 @@
-// The weighted-fair run queue underneath serve::sched::Scheduler.
+// The weighted-fair run queue underneath api::Executor.
 //
 // Two nested disciplines, both work-conserving:
 //   * ACROSS classes — weighted round-robin with per-class credits: while
@@ -14,8 +14,8 @@
 //     preserved where no fairness rule says otherwise).
 //
 // The queue is payload-agnostic and NOT internally synchronized: the
-// Scheduler guards it with its own mutex — statically enforced by the
-// `queue_ MOELA_GUARDED_BY(mutex_)` annotation in scheduler.hpp — and the
+// Executor guards it with its own mutex — statically enforced by the
+// `queue_ MOELA_GUARDED_BY(mutex_)` annotation in executor.hpp — and the
 // unit tests drive it single-threaded to assert pop order exactly.
 #pragma once
 
@@ -25,11 +25,11 @@
 #include <functional>
 #include <map>
 
-#include "serve/sched/policy.hpp"
+#include "api/priority.hpp"
 
-namespace moela::serve::sched {
+namespace moela::api {
 
-/// One queued unit of work. `work` is what a scheduler worker runs; `tag`
+/// One queued unit of work. `work` is what an Executor worker runs; `tag`
 /// is caller-defined identity (the unit tests queue bare tags).
 struct QueueItem {
   std::uint64_t tag = 0;
@@ -77,4 +77,4 @@ class FairQueue {
   std::size_t size_ = 0;
 };
 
-}  // namespace moela::serve::sched
+}  // namespace moela::api

@@ -1,6 +1,7 @@
-// Scheduling policy vocabulary shared by every serving layer: the three
-// priority classes a "run" batch can ride under, their wire names, and the
-// per-class dispatch weights of the weighted-fair queue.
+// Scheduling policy vocabulary shared by the Executor's queue and every
+// serving layer: the three priority classes a batch can ride under, their
+// wire names, and the per-class dispatch weights of the weighted-fair
+// queue (api/fair_queue.hpp).
 //
 // A class is a *scheduling* attribute, never an execution attribute: it
 // decides when a run starts (queue order, admission) and what the health
@@ -13,10 +14,10 @@
 #include <cstdint>
 #include <string>
 
-namespace moela::serve::sched {
+namespace moela::api {
 
 /// Priority classes, most to least urgent. The enum values are the array
-/// index used throughout the subsystem (queues, weights, counters).
+/// index used throughout (queues, weights, counters).
 enum class Priority : std::uint8_t {
   /// A user is waiting on the answer: favored heavily at dispatch.
   kInteractive = 0,
@@ -92,4 +93,4 @@ struct ClassCounters {
   std::uint64_t shed = 0;
 };
 
-}  // namespace moela::serve::sched
+}  // namespace moela::api

@@ -428,7 +428,7 @@ std::vector<RunReport> ShardedExecutor::run_all(
   // behind its TCP connect timeout.
   std::vector<std::size_t> healthy;
   std::vector<std::size_t> probed_jobs(config_.endpoints.size(), 0);
-  /// Reported load (runs in flight + scheduler queue depth), the
+  /// Reported load (runs executing + runs queued, each counted once), the
   /// kWeighted placement's second input. Zero when unprobed or the daemon
   /// predates the fields.
   std::vector<std::size_t> probed_load(config_.endpoints.size(), 0);
@@ -449,7 +449,7 @@ std::vector<RunReport> ShardedExecutor::run_all(
               accepting = a->as_bool();
             }
             probed_jobs[s] = util::u64_field_or(health, "jobs", 0);
-            probed_load[s] = util::u64_field_or(health, "inflight", 0) +
+            probed_load[s] = util::u64_field_or(health, "running", 0) +
                              util::u64_field_or(health, "queued", 0);
           } catch (const serve::RemoteError&) {
             accepting = probe.ping();  // daemon predates the health verb
@@ -571,7 +571,7 @@ std::vector<RunReport> ShardedExecutor::run_all(
     std::vector<std::future<RunReport>> futures;
     {
       Executor local({.jobs = config_.local_jobs, .cache = config_.cache});
-      futures = local.submit(std::move(rest), control);
+      futures = local.submit(std::move(rest), control).futures;
       // Wait (without consuming) and join the pool before get(): a
       // rethrown exception shares state with the worker's task copy, and
       // consuming it while the worker tears down its copy is a race.

@@ -48,7 +48,7 @@
 //                     batch.
 //   * kWeighted     — static like round-robin, but each request goes to
 //                     the shard with the lowest projected utilization
-//                     (health-reported inflight + queued load, plus what
+//                     (health-reported running + queued load, plus what
 //                     this placement already assigned, over the daemon's
 //                     worker count) — so a big or idle daemon owns more of
 //                     the batch and a busy one is not pile-driven. Needs
@@ -61,10 +61,9 @@
 #include <vector>
 
 #include "api/optimizer.hpp"
+#include "api/priority.hpp"
 #include "api/request.hpp"
 #include "api/result_cache.hpp"
-// moela-lint: allow(layer-order) coordinator-as-client exception, see docs/architecture.md
-#include "serve/sched/policy.hpp"
 #include "util/metrics.hpp"
 
 namespace moela::api {
@@ -136,7 +135,7 @@ struct ShardedExecutorConfig {
   /// batch (including requeued chunks), so a fleet-wide sweep competes
   /// under one class everywhere. Scheduling only: reports stay
   /// bit-identical to inline execution whatever the class.
-  serve::sched::Priority priority = serve::sched::Priority::kNormal;
+  Priority priority = Priority::kNormal;
   /// Optional telemetry registry (not owned; must outlive run_all).
   /// Requests dispatched to and requeued from each endpoint count into
   /// per-endpoint moela_shard_placed_total / moela_shard_requeued_total.

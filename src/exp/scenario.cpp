@@ -211,7 +211,7 @@ std::vector<AppScenarioResult> run_app_scenarios(
     // A bench sweep is throughput work: run it under the batch class so a
     // shared fleet keeps answering interactive submissions promptly.
     // Scheduling only — the merged reports stay bit-identical.
-    sharded_config.priority = serve::sched::Priority::kBatch;
+    sharded_config.priority = api::Priority::kBatch;
     util::log_info() << "sharding " << requests.size() << " runs ("
                      << cells.size() << " cells x " << per_cell
                      << " algorithms) across "

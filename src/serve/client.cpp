@@ -138,7 +138,7 @@ Json Client::transact(Json message, const EventHandler& on_event,
 std::vector<api::RunReport> Client::run(
     const std::vector<api::RunRequest>& requests, bool stream_progress,
     EventHandler on_event, api::RunControl* control,
-    sched::Priority priority) {
+    api::Priority priority) {
   Json requests_json = Json::array();
   for (const auto& request : requests) {
     requests_json.append(api::request_to_json(request));
@@ -149,7 +149,7 @@ std::vector<api::RunReport> Client::run(
       .set("verb", "run")
       .set("requests", std::move(requests_json))
       .set("progress", stream_progress)
-      .set("priority", sched::priority_name(priority));
+      .set("priority", api::priority_name(priority));
   const Json response = transact(std::move(message), on_event, control);
   if (const Json* ok = response.find("ok"); ok == nullptr || !ok->as_bool()) {
     const Json* error = response.find("error");

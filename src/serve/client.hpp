@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "api/optimizer.hpp"
+#include "api/priority.hpp"
 #include "api/request.hpp"
 #include "serve/protocol.hpp"
-#include "serve/sched/policy.hpp"
 #include "util/json.hpp"
 
 namespace moela::serve {
@@ -88,7 +88,7 @@ class Client {
       const std::vector<api::RunRequest>& requests,
       bool stream_progress = false, EventHandler on_event = nullptr,
       api::RunControl* control = nullptr,
-      sched::Priority priority = sched::Priority::kNormal);
+      api::Priority priority = api::Priority::kNormal);
 
   /// Sends a standalone cancel for an earlier run id on this connection
   /// (see last_run_id()). Returns true when an in-flight batch was found

@@ -74,17 +74,10 @@ Server::Server(ServeConfig config)
   executor_config.run_log = config_.run_log;
   executor_config.metrics = &metrics_;
   executor_config.snapshot_dir = config_.snapshot_dir;
-  // The scheduler brings the worker pool; the Executor contributes its
-  // execute path (cache, run-log, provenance) through execute_one.
-  executor_config.pool = false;
+  executor_config.weights = config_.weights;
+  executor_config.max_queued = config_.max_queued;
   executor_ = std::make_unique<api::Executor>(executor_config);
   if (config_.use_cache) cache_.set_metrics(&metrics_);
-  sched::SchedulerConfig sched_config;
-  sched_config.workers = executor_->jobs();
-  sched_config.weights = config_.weights;
-  sched_config.max_queued = config_.max_queued;
-  sched_config.metrics = &metrics_;
-  scheduler_ = std::make_unique<sched::Scheduler>(*executor_, sched_config);
 
   // Pre-resolve the per-verb dispatch telemetry for the protocol's fixed
   // verb set; handle_line then only touches atomics. Anything else (typos,
@@ -399,7 +392,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& connection,
   } else if (verb == "health") {
     // One-line load snapshot for shard placement (api::ShardedExecutor
     // probes this before partitioning a batch): capacity, current load,
-    // scheduler backlog (total and per class), lifetime counters, and
+    // queue backlog (total and per class), lifetime counters, and
     // whether new runs would be accepted.
     Json cache = cache_counters_json(config_.use_cache, &cache_);
     Json response = make_ok(id);
@@ -411,9 +404,9 @@ void Server::handle_line(const std::shared_ptr<Connection>& connection,
         .set("inflight", static_cast<std::uint64_t>(inflight_total()))
         .set("max_inflight",
              static_cast<std::uint64_t>(config_.max_inflight))
-        .set("queued", static_cast<std::uint64_t>(scheduler_->queued_total()))
+        .set("queued", static_cast<std::uint64_t>(executor_->queued_total()))
         .set("running",
-             static_cast<std::uint64_t>(scheduler_->running_total()))
+             static_cast<std::uint64_t>(executor_->running_total()))
         .set("max_queued", static_cast<std::uint64_t>(config_.max_queued))
         .set("classes", sched_classes_json())
         .set("runs_handled", runs_handled())
@@ -449,17 +442,25 @@ void Server::handle_line(const std::shared_ptr<Connection>& connection,
   }
 }
 
+std::uint64_t Server::runs_handled() const {
+  std::uint64_t handled = 0;
+  for (std::size_t c = 0; c < api::kNumClasses; ++c) {
+    handled += executor_->counters(static_cast<api::Priority>(c)).completed;
+  }
+  return handled;
+}
+
 Json Server::sched_classes_json() const {
   Json classes = Json::object();
-  for (std::size_t c = 0; c < sched::kNumClasses; ++c) {
-    const auto priority = static_cast<sched::Priority>(c);
-    const sched::ClassCounters counters = scheduler_->counters(priority);
+  for (std::size_t c = 0; c < api::kNumClasses; ++c) {
+    const auto priority = static_cast<api::Priority>(c);
+    const api::ClassCounters counters = executor_->counters(priority);
     Json entry = Json::object();
     entry.set("queued", counters.queued)
         .set("running", counters.running)
         .set("completed", counters.completed)
         .set("shed", counters.shed);
-    classes.set(sched::priority_name(priority), std::move(entry));
+    classes.set(api::priority_name(priority), std::move(entry));
   }
   return classes;
 }
@@ -506,9 +507,9 @@ void Server::handle_run(const std::shared_ptr<Connection>& connection,
   // The batch's scheduling class. Optional and additive on the wire:
   // absent means normal, a typo is an error (misclassifying a request is
   // worse than rejecting it).
-  sched::Priority priority = sched::Priority::kNormal;
+  api::Priority priority = api::Priority::kNormal;
   if (const Json* p = message.find("priority")) {
-    if (!p->is_string() || !sched::parse_priority(p->as_string(), priority)) {
+    if (!p->is_string() || !api::parse_priority(p->as_string(), priority)) {
       respond_error("run: bad priority '" +
                     (p->is_string() ? p->as_string()
                                     : std::string("<non-string>")) +
@@ -555,7 +556,7 @@ void Server::handle_run(const std::shared_ptr<Connection>& connection,
       ++it;
     }
   }
-  // Register the batch's control under its id BEFORE the scheduler can
+  // Register the batch's control under its id BEFORE the Executor can
   // start (or a collector thread exists): a client may fire the cancel
   // verb immediately after the run line, and the reader must find the
   // control no matter how the threads interleave.
@@ -610,8 +611,8 @@ void Server::handle_run(const std::shared_ptr<Connection>& connection,
     if (hard_stop_.load(std::memory_order_relaxed)) control->request_stop();
   }
 
-  sched::Scheduler::Admission admission = scheduler_->submit(
-      std::move(requests), priority, connection->lane, control.get());
+  api::Executor::Admission admission = executor_->submit(
+      std::move(requests), control.get(), priority, connection->lane);
   if (!admission.admitted) {
     // Shed: unwind every registration this frame made (no slot may leak),
     // then answer with the structured overload facts so the client can
@@ -698,10 +699,10 @@ void Server::handle_cancel(const std::shared_ptr<Connection>& connection,
 void Server::run_batch(std::shared_ptr<Connection> connection,
                        std::uint64_t id,
                        std::vector<std::future<api::RunReport>> futures,
-                       sched::Priority priority,
+                       api::Priority priority,
                        std::shared_ptr<api::RunControl> control_ptr) {
   const std::size_t batch_size = futures.size();
-  const std::string priority_name = sched::priority_name(priority);
+  const std::string priority_name = api::priority_name(priority);
   Json reports = Json::array();
   std::uint64_t cancelled_runs = 0;
   for (auto& future : futures) {
@@ -736,7 +737,6 @@ void Server::run_batch(std::shared_ptr<Connection> connection,
     active_controls_.erase(control_ptr.get());
   }
 
-  runs_handled_.fetch_add(batch_size, std::memory_order_relaxed);
   if (cancelled_runs > 0) {
     runs_cancelled_.fetch_add(cancelled_runs, std::memory_order_relaxed);
   }

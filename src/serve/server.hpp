@@ -1,28 +1,29 @@
 // The moela_serve daemon core: a long-lived TCP server that multiplexes
 // line-delimited JSON requests (serve/protocol.hpp) onto ONE shared
-// scheduler (serve/sched/) driving ONE api::Executor backed by ONE
-// process-lifetime api::ResultCache — so every connection benefits from
-// every other connection's completed runs, and a repeated request is
-// answered without re-running. Results are bit-identical to inline
-// execution for fixed seeds: the daemon adds serialization (api/serde.hpp)
-// and scheduling (start-time ordering), not arithmetic.
+// api::Executor backed by ONE process-lifetime api::ResultCache — so
+// every connection benefits from every other connection's completed runs,
+// and a repeated request is answered without re-running. Results are
+// bit-identical to inline execution for fixed seeds: the daemon adds
+// serialization (api/serde.hpp) and scheduling (start-time ordering), not
+// arithmetic.
 //
 // Scheduling: each "run" batch carries a priority class (interactive /
-// normal / batch). Admitted runs queue in the sched::Scheduler's
-// weighted-fair queue — per-class weights, round-robin across connections
-// within a class — and admission is bounded: when max_queued runs are
-// already waiting, the batch is shed whole with a structured "overloaded"
-// error (queue depth + retry-after hint) instead of queueing unboundedly.
+// normal / batch). Admitted runs queue in the Executor's weighted-fair
+// queue (api/fair_queue.hpp) — per-class weights, round-robin across
+// connections within a class — and admission is bounded: when max_queued
+// runs are already waiting, the batch is shed whole with a structured
+// "overloaded" error (queue depth + retry-after hint) instead of queueing
+// unboundedly.
 //
 // Threading model:
 //   * one accept thread;
 //   * one reader thread per connection (verbs other than "run" answer
 //     inline);
 //   * one collector thread per "run" batch, which awaits the batch's
-//     futures from the scheduler and streams progress events back on the
+//     futures from the Executor and streams progress events back on the
 //     submitting connection (writes serialized by a per-connection mutex);
-//   * the scheduler's worker pool (ServeConfig::jobs threads) executing
-//     dequeued runs through Executor::execute_one;
+//   * the Executor's worker pool (ServeConfig::jobs threads) executing
+//     dequeued runs;
 //   * one watcher thread parked on a self-pipe, the async-signal-safe
 //     bridge from SIGINT/SIGTERM to an orderly drain.
 //
@@ -49,11 +50,10 @@
 #include <vector>
 
 #include "api/executor.hpp"
+#include "api/priority.hpp"
 #include "api/result_cache.hpp"
 #include "api/run_log.hpp"
 #include "serve/protocol.hpp"
-#include "serve/sched/policy.hpp"
-#include "serve/sched/scheduler.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/thread_annotations.hpp"
@@ -82,7 +82,7 @@ struct ServeConfig {
   /// whole with a structured "overloaded" error instead of queueing.
   std::size_t max_queued = 1024;
   /// Weighted-fair dispatch weights per priority class.
-  sched::Weights weights;
+  api::Weights weights;
   /// Optional per-run JSONL logger (not owned). Null falls back to
   /// $MOELA_RUN_LOG via the Executor.
   api::RunLogger* run_log = nullptr;
@@ -136,10 +136,8 @@ class Server {
   }
 
   /// Total runs executed or served from cache since start (for tests and
-  /// the cache_stats verb).
-  std::uint64_t runs_handled() const {
-    return runs_handled_.load(std::memory_order_relaxed);
-  }
+  /// the cache_stats verb): the Executor's per-class completed counters.
+  std::uint64_t runs_handled() const;
 
   /// Runs that finished cancelled — via the cancel verb or the hard-stop
   /// drain rung (for tests and the health verb).
@@ -153,12 +151,8 @@ class Server {
     return inflight_total_.load(std::memory_order_relaxed);
   }
 
-  /// The weighted-fair scheduler (per-class counters, for tests; remote
-  /// observers read the same numbers off the health verb).
-  const sched::Scheduler& scheduler() const { return *scheduler_; }
-
   /// The daemon's telemetry registry. Every layer (verb dispatch, the
-  /// scheduler, the cache, the Executor) feeds it; the `metrics` verb
+  /// cache, the Executor and its queue) feeds it; the `metrics` verb
   /// snapshots it as JSON and metrics_text() as Prometheus exposition
   /// (moela_serve --metrics-dump). Telemetry only — nothing here touches
   /// cache keys or report bytes.
@@ -214,11 +208,11 @@ class Server {
   void handle_cancel(const std::shared_ptr<Connection>& connection,
                      std::uint64_t id, const util::Json& message);
   /// Awaits one admitted batch's futures (completion order decided by the
-  /// scheduler), stamps the class into each report's provenance, and sends
+  /// Executor's queue), stamps the class into each report's provenance, and sends
   /// the final response.
   void run_batch(std::shared_ptr<Connection> connection, std::uint64_t id,
                  std::vector<std::future<api::RunReport>> futures,
-                 sched::Priority priority,
+                 api::Priority priority,
                  std::shared_ptr<api::RunControl> control);
   /// The health verb's per-class counter block.
   util::Json sched_classes_json() const;
@@ -228,8 +222,8 @@ class Server {
   void reap_connections();
 
   ServeConfig config_;
-  /// Declared before cache_/executor_/scheduler_ (so it is destroyed
-  /// after them): they hold handles into it.
+  /// Declared before cache_/executor_ (so it is destroyed after them):
+  /// they hold handles into it.
   util::MetricsRegistry metrics_;
   /// Pre-resolved per-verb telemetry: handle_line looks the verb up here
   /// and touches only atomics, keeping the dispatch path lock-free. Verbs
@@ -250,9 +244,6 @@ class Server {
   util::Timer started_at_;
   api::ResultCache cache_;
   std::unique_ptr<api::Executor> executor_;
-  /// Declared after executor_ (and destroyed before it): the scheduler's
-  /// workers call into the executor.
-  std::unique_ptr<sched::Scheduler> scheduler_;
   std::atomic<std::uint64_t> next_lane_{0};
 
   int listen_fd_ = -1;
@@ -273,7 +264,6 @@ class Server {
   std::atomic<bool> stop_{false};
   std::atomic<bool> hard_stop_{false};
   std::atomic<bool> watcher_exit_{false};
-  std::atomic<std::uint64_t> runs_handled_{0};
   /// Runs whose reports came back provenance.cancelled (the health verb's
   /// cancellation counter).
   std::atomic<std::uint64_t> runs_cancelled_{0};

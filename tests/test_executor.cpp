@@ -165,7 +165,7 @@ TEST(Executor, BadRequestSurfacesFromTheFuture) {
   Executor executor({.jobs = 2});
   RunRequest bad = zdt1_request("nsga2");
   bad.problem = "no-such-problem";
-  auto futures = executor.submit({bad});
+  auto futures = executor.submit({bad}).futures;
   ASSERT_EQ(futures.size(), 1u);
   EXPECT_THROW(futures[0].get(), std::out_of_range);
 }
@@ -571,7 +571,7 @@ TEST(Executor, RunLogWritesOneJsonlRecordPerRun) {
   config.jobs = 2;
   config.run_log = &logger;
   Executor executor(config);
-  auto futures = executor.submit(std::move(requests));
+  auto futures = executor.submit(std::move(requests)).futures;
   EXPECT_NO_THROW(futures[0].get());
   EXPECT_NO_THROW(futures[1].get());
   EXPECT_THROW(futures[2].get(), std::exception);

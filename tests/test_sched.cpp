@@ -1,11 +1,12 @@
-// Tests for the serving scheduler (src/serve/sched/): the FairQueue's two
-// nested disciplines driven single-threaded so pop order is asserted
-// exactly — weighted round-robin across classes (credits, refill,
+// Tests for the Executor's scheduling layer: the FairQueue's two nested
+// disciplines (src/api/fair_queue.*) driven single-threaded so pop order is
+// asserted exactly — weighted round-robin across classes (credits, refill,
 // forfeited shares) and lane round-robin within a class — plus the
-// policy vocabulary (wire spellings, weight clamping) and the Scheduler
-// itself: admission, all-or-nothing shedding with the structured overload
-// facts, per-class counters, and the bit-identical-to-inline property of
-// runs dispatched through the queue.
+// policy vocabulary (src/api/priority.hpp: wire spellings, weight
+// clamping) and the api::Executor that drains the queue: admission,
+// all-or-nothing shedding with the structured overload facts, per-class
+// counters, the bit-identical-to-inline property of runs dispatched
+// through the queue, and the unbounded default of an in-process batch.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,12 +16,11 @@
 #include <vector>
 
 #include "api/executor.hpp"
+#include "api/fair_queue.hpp"
+#include "api/priority.hpp"
 #include "api/request.hpp"
-#include "serve/sched/policy.hpp"
-#include "serve/sched/queue.hpp"
-#include "serve/sched/scheduler.hpp"
 
-namespace moela::serve::sched {
+namespace moela::api {
 namespace {
 
 QueueItem tagged(std::uint64_t tag) {
@@ -174,10 +174,10 @@ TEST(FairQueue, DrainedLaneIsForgotten) {
   EXPECT_EQ(item.tag, 2u);
 }
 
-// --- Scheduler ------------------------------------------------------------
+// --- Executor: admission, dispatch, counters ------------------------------
 
-api::RunRequest zdt1_request(std::uint64_t seed) {
-  api::RunRequest request;
+RunRequest zdt1_request(std::uint64_t seed) {
+  RunRequest request;
   request.problem = "zdt1";
   request.problem_options.num_variables = 10;
   request.algorithm = "nsga2";
@@ -189,109 +189,105 @@ api::RunRequest zdt1_request(std::uint64_t seed) {
   return request;
 }
 
-/// An Executor in pool-less mode: the Scheduler under test owns the only
-/// worker threads.
-struct PoollessExecutor {
-  PoollessExecutor() {
-    api::ExecutorConfig config;
-    config.jobs = 1;
-    config.pool = false;
-    executor = std::make_unique<api::Executor>(config);
-  }
-  std::unique_ptr<api::Executor> executor;
-};
+TEST(ExecutorQueue, RunsDispatchedThroughTheQueueMatchInlineExecution) {
+  Executor direct({.jobs = 1});
+  const RunReport reference = direct.run_all({zdt1_request(5)}).front();
 
-TEST(Scheduler, PoollessExecutorRefusesItsOwnSubmit) {
-  PoollessExecutor fixture;
-  EXPECT_THROW(fixture.executor->submit({zdt1_request(1)}, nullptr),
-               std::logic_error);
-}
-
-TEST(Scheduler, RunsDispatchedThroughTheQueueMatchInlineExecution) {
-  api::Executor direct({.jobs = 1});
-  const api::RunReport reference =
-      direct.run_all({zdt1_request(5)}).front();
-
-  PoollessExecutor fixture;
-  SchedulerConfig config;
-  config.workers = 2;
-  Scheduler scheduler(*fixture.executor, config);
-  Scheduler::Admission admission = scheduler.submit(
-      {zdt1_request(5)}, Priority::kInteractive, /*lane=*/0, nullptr);
+  Executor executor({.jobs = 2});
+  Executor::Admission admission = executor.submit(
+      {zdt1_request(5)}, nullptr, Priority::kInteractive, /*lane=*/3);
   ASSERT_TRUE(admission.admitted);
   ASSERT_EQ(admission.futures.size(), 1u);
-  const api::RunReport report = admission.futures.front().get();
+  const RunReport report = admission.futures.front().get();
 
   EXPECT_EQ(report.final_front, reference.final_front);
   EXPECT_EQ(report.evaluations, reference.evaluations);
   EXPECT_EQ(report.provenance.cache_key, reference.provenance.cache_key);
 
-  const ClassCounters counters = scheduler.counters(Priority::kInteractive);
+  const ClassCounters counters = executor.counters(Priority::kInteractive);
   EXPECT_EQ(counters.completed, 1u);
+  EXPECT_EQ(counters.running, 0u);
   EXPECT_EQ(counters.shed, 0u);
-  EXPECT_EQ(scheduler.queued_total(), 0u);
+  EXPECT_EQ(executor.counters(Priority::kNormal).completed, 0u);
+  EXPECT_EQ(executor.queued_total(), 0u);
+  EXPECT_EQ(executor.running_total(), 0u);
 }
 
-TEST(Scheduler, BatchLargerThanMaxQueuedIsShedWholeWithStructuredFacts) {
-  PoollessExecutor fixture;
-  SchedulerConfig config;
-  config.workers = 1;
+TEST(ExecutorQueue, BatchLargerThanMaxQueuedIsShedWholeWithStructuredFacts) {
+  ExecutorConfig config;
+  config.jobs = 1;
   config.max_queued = 2;
-  Scheduler scheduler(*fixture.executor, config);
+  Executor executor(config);
 
   // 3 > 2 even against an empty queue: shed whole, nothing enqueued.
-  Scheduler::Admission shed = scheduler.submit(
-      {zdt1_request(1), zdt1_request(2), zdt1_request(3)}, Priority::kNormal,
-      /*lane=*/0, nullptr);
+  Executor::Admission shed = executor.submit(
+      {zdt1_request(1), zdt1_request(2), zdt1_request(3)}, nullptr,
+      Priority::kNormal, /*lane=*/0);
   EXPECT_FALSE(shed.admitted);
   EXPECT_TRUE(shed.futures.empty());
   EXPECT_EQ(shed.queue_depth, 0u);
-  EXPECT_EQ(shed.retry_after_ms, scheduler.retry_after_hint(0));
-  EXPECT_EQ(scheduler.queued_total(), 0u);
-  EXPECT_EQ(scheduler.counters(Priority::kNormal).shed, 3u);
-  EXPECT_EQ(scheduler.counters(Priority::kNormal).completed, 0u);
+  EXPECT_EQ(shed.retry_after_ms, executor.retry_after_hint(0));
+  EXPECT_EQ(executor.queued_total(), 0u);
+  EXPECT_EQ(executor.counters(Priority::kNormal).shed, 3u);
+  EXPECT_EQ(executor.counters(Priority::kNormal).completed, 0u);
+  // run_all has no way to hand back a shed decision: it throws.
+  EXPECT_THROW(
+      executor.run_all({zdt1_request(1), zdt1_request(2), zdt1_request(3)}),
+      std::runtime_error);
+  EXPECT_EQ(executor.counters(Priority::kNormal).shed, 6u);
 
-  // The shed batch left no residue: a batch within the bound runs fine.
-  Scheduler::Admission ok = scheduler.submit(
-      {zdt1_request(1), zdt1_request(2)}, Priority::kNormal, 0, nullptr);
+  // The shed batches left no residue: a batch within the bound runs fine.
+  Executor::Admission ok = executor.submit(
+      {zdt1_request(1), zdt1_request(2)}, nullptr, Priority::kNormal, 0);
   ASSERT_TRUE(ok.admitted);
   for (auto& future : ok.futures) {
     EXPECT_EQ(future.get().evaluations, 400u);
   }
-  EXPECT_EQ(scheduler.counters(Priority::kNormal).completed, 2u);
-  EXPECT_EQ(scheduler.counters(Priority::kNormal).shed, 3u);  // lifetime
+  EXPECT_EQ(executor.counters(Priority::kNormal).completed, 2u);
+  EXPECT_EQ(executor.counters(Priority::kNormal).shed, 6u);  // lifetime
 }
 
-TEST(Scheduler, RetryAfterHintScalesWithBacklogAndClamps) {
-  PoollessExecutor fixture;
-  SchedulerConfig config;
-  config.workers = 2;
-  Scheduler scheduler(*fixture.executor, config);
-  EXPECT_EQ(scheduler.retry_after_hint(0), 50u);
-  EXPECT_EQ(scheduler.retry_after_hint(2), 100u);
-  EXPECT_EQ(scheduler.retry_after_hint(4), 150u);
-  EXPECT_EQ(scheduler.retry_after_hint(1000000), 5000u);  // the ceiling
+TEST(ExecutorQueue, RetryAfterHintScalesWithBacklogAndClamps) {
+  Executor executor({.jobs = 2});
+  EXPECT_EQ(executor.retry_after_hint(0), 50u);
+  EXPECT_EQ(executor.retry_after_hint(2), 100u);
+  EXPECT_EQ(executor.retry_after_hint(4), 150u);
+  EXPECT_EQ(executor.retry_after_hint(1000000), 5000u);  // the ceiling
 }
 
-TEST(Scheduler, StopRequestedBeforeDispatchYieldsCancelledReports) {
-  PoollessExecutor fixture;
-  SchedulerConfig config;
-  config.workers = 1;
-  Scheduler scheduler(*fixture.executor, config);
-
-  api::RunControl control;
+TEST(ExecutorQueue, StopRequestedBeforeDispatchYieldsCancelledReports) {
+  Executor executor({.jobs = 1});
+  RunControl control;
   control.request_stop();
-  Scheduler::Admission admission = scheduler.submit(
-      {zdt1_request(1), zdt1_request(2)}, Priority::kBatch, 0, &control);
+  Executor::Admission admission = executor.submit(
+      {zdt1_request(1), zdt1_request(2)}, &control, Priority::kBatch, 0);
   ASSERT_TRUE(admission.admitted);
   for (auto& future : admission.futures) {
-    const api::RunReport report = future.get();
+    const RunReport report = future.get();
     EXPECT_TRUE(report.provenance.cancelled);
     EXPECT_EQ(report.evaluations, 0u);
   }
-  // A cancelled run still completed, scheduler-wise.
-  EXPECT_EQ(scheduler.counters(Priority::kBatch).completed, 2u);
+  // A cancelled run still completed, queue-wise.
+  EXPECT_EQ(executor.counters(Priority::kBatch).completed, 2u);
+}
+
+TEST(ExecutorQueue, DefaultConfigNeverShedsAnInProcessBatch) {
+  // 1500 runs is past the daemon's default max_queued of 1024; an
+  // in-process Executor has no bound, so the whole batch is admitted.
+  // The pre-stopped control makes every run a cancelled report at once.
+  Executor executor({.jobs = 2});
+  RunControl control;
+  control.request_stop();
+  std::vector<RunRequest> requests(1500, zdt1_request(1));
+  const std::vector<RunReport> reports =
+      executor.run_all(std::move(requests), &control);
+  ASSERT_EQ(reports.size(), 1500u);
+  for (const RunReport& report : reports) {
+    EXPECT_TRUE(report.provenance.cancelled);
+  }
+  EXPECT_EQ(executor.counters(Priority::kNormal).completed, 1500u);
+  EXPECT_EQ(executor.counters(Priority::kNormal).shed, 0u);
 }
 
 }  // namespace
-}  // namespace moela::serve::sched
+}  // namespace moela::api

@@ -430,7 +430,7 @@ TEST(Serve, PriorityIsEchoedInProvenanceEvenOnCacheReplay) {
   const std::vector<api::RunRequest> requests = {zdt1_request("moela")};
   const api::RunReport cold = fixture.client
                                   .run(requests, false, nullptr, nullptr,
-                                       sched::Priority::kBatch)
+                                       api::Priority::kBatch)
                                   .front();
   EXPECT_FALSE(cold.provenance.cache_hit);
   EXPECT_EQ(cold.provenance.priority, "batch");
@@ -440,7 +440,7 @@ TEST(Serve, PriorityIsEchoedInProvenanceEvenOnCacheReplay) {
   // it never entered the cache key.
   const api::RunReport warm = fixture.client
                                   .run(requests, false, nullptr, nullptr,
-                                       sched::Priority::kInteractive)
+                                       api::Priority::kInteractive)
                                   .front();
   EXPECT_TRUE(warm.provenance.cache_hit);
   EXPECT_EQ(warm.provenance.priority, "interactive");
@@ -617,7 +617,7 @@ TEST(Serve, HealthReportsPerClassSchedulerCounters) {
   }
 
   fixture.client.run({zdt1_request("moela")}, false, nullptr, nullptr,
-                     sched::Priority::kBatch);
+                     api::Priority::kBatch);
   const Json warm = fixture.client.health();
   const Json* batch = warm.find("classes")->find("batch");
   EXPECT_EQ(batch->find("completed")->as_u64(), 1u);
@@ -648,7 +648,7 @@ TEST(Serve, InteractiveOvertakesSaturatingBatchSweep) {
     Client batch_client;
     batch_client.connect("127.0.0.1", fixture.server->port());
     sweep_reports = batch_client.run(sweep, false, nullptr, nullptr,
-                                     sched::Priority::kBatch);
+                                     api::Priority::kBatch);
   });
 
   // The sweep is saturating: one run in flight, backlog queued.
@@ -659,7 +659,7 @@ TEST(Serve, InteractiveOvertakesSaturatingBatchSweep) {
   const api::RunReport interactive =
       fixture.client
           .run({zdt1_request("moela", 99)}, false, nullptr, nullptr,
-               sched::Priority::kInteractive)
+               api::Priority::kInteractive)
           .front();
   EXPECT_FALSE(interactive.provenance.cancelled);
   EXPECT_EQ(interactive.evaluations, 600u);

@@ -11,9 +11,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "api/executor.hpp"
@@ -221,6 +224,78 @@ TEST(ShardedExecutor, WeightedWithoutProbeDegradesToRoundRobin) {
     expect_equal_modulo_cache(reference[i], merged[i]);
   }
   EXPECT_EQ(sharded.shard_stats()[0].completed, 3u);
+  EXPECT_EQ(sharded.shard_stats()[1].completed, 3u);
+}
+
+TEST(ShardedExecutor, WeightedPlacementCountsQueuedRunsOnce) {
+  // Daemon A (1 worker) is busy: one endless run executing and two queued
+  // behind it, so its health reads inflight=3 queued=2 running=1. Its load
+  // is running + queued = 3 — `inflight` already counts the queued runs,
+  // so inflight + queued would charge them twice. Four requests over A and
+  // an idle 1-worker B then split 1 / 3: B takes three, reaching A's load,
+  // and the tie at 3 goes to A, the first endpoint.
+  auto a = make_server(1);
+  auto b = make_server(1);
+  serve::Client observer;
+  observer.connect("127.0.0.1", a->port());
+  auto wait_for_a = [&](const char* field, std::uint64_t value) {
+    while (util::u64_field_or(observer.health(), field, 0) != value) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  };
+
+  RunRequest endless = zdt1_request("moela", 1);
+  endless.options.max_evaluations = 50000000;
+  RunControl occupier_control;
+  std::thread occupier([&] {
+    serve::Client client;
+    client.connect("127.0.0.1", a->port());
+    client.run({endless}, false, nullptr, &occupier_control);
+  });
+  wait_for_a("running", 1);
+  RunControl backlog_control;
+  std::thread backlog([&] {
+    RunRequest first = endless, second = endless;
+    first.options.seed = 2;
+    second.options.seed = 3;
+    serve::Client client;
+    client.connect("127.0.0.1", a->port());
+    client.run({first, second}, false, nullptr, &backlog_control);
+  });
+  wait_for_a("queued", 2);
+  const util::Json busy = observer.health();
+  EXPECT_EQ(util::u64_field_or(busy, "inflight", 0), 3u);
+  EXPECT_EQ(util::u64_field_or(busy, "running", 0), 1u);
+
+  std::vector<RunRequest> sweep;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    sweep.push_back(zdt1_request("nsga2", seed));
+  }
+  const std::vector<RunReport> reference = inline_reports(sweep);
+
+  ShardedExecutorConfig config;
+  config.endpoints = {{"127.0.0.1", a->port()}, {"127.0.0.1", b->port()}};
+  config.policy = ShardPolicy::kWeighted;
+  ShardedExecutor sharded(config);
+  auto merged_future = std::async(std::launch::async,
+                                  [&] { return sharded.run_all(sweep); });
+
+  // B's share runs while A is still occupied; then A's occupants go, so
+  // its own share can start and run_all can return.
+  while (b->runs_handled() < 3) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  occupier_control.request_stop();
+  backlog_control.request_stop();
+  occupier.join();
+  backlog.join();
+  const std::vector<RunReport> merged = merged_future.get();
+
+  ASSERT_EQ(merged.size(), reference.size());
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    expect_equal_modulo_cache(reference[i], merged[i]);
+  }
+  EXPECT_EQ(sharded.shard_stats()[0].completed, 1u);
   EXPECT_EQ(sharded.shard_stats()[1].completed, 3u);
 }
 

@@ -56,6 +56,7 @@
 
 #include "api/executor.hpp"
 #include "api/optimizer.hpp"
+#include "api/priority.hpp"
 #include "api/problems.hpp"
 #include "api/registry.hpp"
 #include "api/request.hpp"
@@ -64,7 +65,6 @@
 #include "api/sharded_executor.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
-#include "serve/sched/policy.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
@@ -92,9 +92,9 @@ struct CliOptions {
   std::vector<std::string> connect;
   api::ShardPolicy shard_policy = api::ShardPolicy::kWorkStealing;
   bool shard_policy_set = false;  // explicit --shard-policy forces sharding
-  /// Scheduling class for daemon-side admission (--connect only; the
-  /// in-process Executor has no queue to be fair about).
-  serve::sched::Priority priority = serve::sched::Priority::kNormal;
+  /// Scheduling class for daemon-side admission (--connect only; an
+  /// in-process batch is alone in its Executor's queue).
+  api::Priority priority = api::Priority::kNormal;
   bool priority_set = false;
   bool remote_shutdown = false;  // with --connect: drain the daemon(s)
   bool show_metrics = false;  // with --connect: print telemetry snapshots
@@ -314,7 +314,7 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
       cli.shard_policy_set = true;
     } else if (arg == "--priority") {
       if ((v = need_value(i, "--priority")) == nullptr) return std::nullopt;
-      if (!serve::sched::parse_priority(v, cli.priority)) {
+      if (!api::parse_priority(v, cli.priority)) {
         std::fprintf(stderr,
                      "moela_cli: bad --priority '%s' (want interactive, "
                      "normal, or batch)\n",
