@@ -57,6 +57,9 @@ void Client::connect(const std::string& host, int port) {
   if (fd < 0) {
     throw std::runtime_error(where() + ": cannot connect (" + error + ")");
   }
+  // transact() can write a cancel line while its run line is still
+  // unacknowledged.
+  set_no_delay(fd);
   fd_ = fd;
   reader_ = std::make_unique<LineReader>(fd_);
 }

@@ -2,6 +2,8 @@
 
 #include <cerrno>
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/types.h>
@@ -64,6 +66,11 @@ bool send_line(int fd, const std::string& line) {
     sent += static_cast<std::size_t>(n);
   }
   return true;
+}
+
+void set_no_delay(int fd) {
+  const int enable = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &enable, sizeof(enable));
 }
 
 bool parse_host_port(const std::string& spec, std::string& host, int& port) {

@@ -72,6 +72,13 @@
 // executes asynchronously; everything else answers inline) — the "id" is
 // the correlation, not the line order. Requests are capped at
 // kMaxLineBytes per line; a connection that exceeds it is dropped.
+//
+// Transport: every message is one line written by one send(), and both
+// ends set TCP_NODELAY (set_no_delay). A run's "finished" event and the
+// batch's reply go out back to back; with Nagle's algorithm on, the reply
+// would wait up to 40 ms for the client's delayed ACK of the event. A
+// third-party client that writes a line in pieces, or pipelines several
+// requests, should set the option too.
 #pragma once
 
 #include <cstddef>
@@ -132,6 +139,10 @@ class LineReader {
 /// Writes `line` + '\n' fully (handles short writes; suppresses SIGPIPE).
 /// Returns false once the peer is gone.
 bool send_line(int fd, const std::string& line);
+
+/// Sets TCP_NODELAY on a connected stream socket (see "Transport" above).
+/// Best-effort: a socket that refuses the option still works, only slower.
+void set_no_delay(int fd);
 
 /// Serializes and sends one protocol object.
 inline bool send_json(int fd, const util::Json& json) {

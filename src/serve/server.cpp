@@ -184,6 +184,9 @@ void Server::accept_loop() {
       break;
     }
     reap_connections();
+    // On the accepted fd, not the listener: inheriting it is platform
+    // behaviour.
+    set_no_delay(fd);
     auto connection = std::make_shared<Connection>(
         fd, next_lane_.fetch_add(1, std::memory_order_relaxed));
     util::MutexLock lock(conn_mutex_);

@@ -3,7 +3,8 @@
 // heart is the acceptance property of the serving subsystem — a RunReport
 // received through the daemon is bit-identical to the one a direct
 // Executor call produces (modulo the cache provenance flags) — plus the
-// auxiliary verbs, progress streaming, the per-connection in-flight bound,
+// auxiliary verbs, progress streaming, the transport's per-call latency
+// (no delayed-ACK stall), the per-connection in-flight bound,
 // the scheduler's wire surface (priority classes, admission shedding,
 // per-class health counters, starvation freedom), error answers, the
 // checkpoint/resume surface (snapshot events, snapshot_dir persistence,
@@ -11,6 +12,7 @@
 // drain.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -250,6 +252,35 @@ TEST(Serve, StreamsProgressAndFinishedEvents) {
   // snapshot_interval 200 within 600 evals → at least one cadence event
   // per run.
   EXPECT_GT(progress_events.load(), 0u);
+}
+
+// --- transport ------------------------------------------------------------
+
+TEST(Serve, SequentialRunsAreNotHeldByDelayedAck) {
+  // A run's "finished" event and the batch's reply leave the daemon back to
+  // back. With Nagle's algorithm on, the reply waits for the client's
+  // delayed ACK of the event (40 ms minimum on Linux), so every one-run
+  // call costs ~44 ms; with TCP_NODELAY a tiny run answers in under a
+  // millisecond (~7 ms under TSan). The median ignores one slow call on a
+  // busy machine.
+  ServeConfig config;
+  config.jobs = 1;
+  config.use_cache = false;
+  ServerFixture fixture(config);
+  api::RunRequest request = zdt1_request("nsga2");
+  request.options.max_evaluations = 60;
+
+  std::vector<double> call_ms;
+  for (int call = 0; call < 32; ++call) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_EQ(fixture.client.run({request}).size(), 1u);
+    call_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+  }
+  const auto median = call_ms.begin() + call_ms.size() / 2;
+  std::nth_element(call_ms.begin(), median, call_ms.end());
+  EXPECT_LT(*median, 20.0) << "median ms per one-run call";
 }
 
 // --- cancellation ---------------------------------------------------------
