@@ -257,6 +257,119 @@ TEST(RandomForest, TieOrderPinnedOnTieHeavyData) {
   EXPECT_EQ(actual, expected);
 }
 
+// A training window laid out like MOELA's Eval samples on a 10-tile
+// platform: a one-hot PE-type block, router degrees 1-7, link counts, then
+// continuous objective columns and few-valued weight columns. About a fifth
+// of the rows repeat an earlier row's features. The base target g lies in
+// roughly [0, 6]; `shape` maps it onto values whose sums are hard on
+// rounding.
+enum class TargetShape {
+  kPlain,      // g
+  kOffset,     // 1e9 + 1e-4 g: a huge common offset, a tiny spread
+  kMixedSign,  // 1e3 (g - 3): sums cancel
+  kTiny,       // 1e-140 g: squares underflow
+};
+
+Dataset make_noc_shaped_dataset(std::size_t n, TargetShape shape,
+                                util::Rng& rng) {
+  constexpr std::size_t kTiles = 10;
+  constexpr std::size_t kDegrees = 3 * kTiles;
+  constexpr std::size_t kCounts = kDegrees + kTiles;
+  constexpr std::size_t kObjectives = kCounts + 3;
+  constexpr std::size_t kWeights = kObjectives + 3;
+  constexpr std::size_t kWidth = kWeights + 3;
+  Dataset d(kWidth);
+  std::vector<std::vector<double>> rows;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> x(kWidth, 0.0);
+    if (!rows.empty() && rng.chance(0.2)) {
+      x = rows[rng.below(rows.size())];
+    } else {
+      for (std::size_t t = 0; t < kTiles; ++t) x[3 * t + rng.below(3)] = 1.0;
+      for (std::size_t t = 0; t < kTiles; ++t) {
+        x[kDegrees + t] = static_cast<double>(1 + rng.below(7));
+      }
+      for (std::size_t k = kCounts; k < kObjectives; ++k) {
+        x[k] = static_cast<double>(rng.below(6));
+      }
+      for (std::size_t k = kObjectives; k < kWeights; ++k) {
+        x[k] = rng.uniform(0.2, 1.5);
+      }
+      for (std::size_t k = kWeights; k < kWidth; ++k) {
+        x[k] = 0.25 * static_cast<double>(rng.below(5));
+      }
+    }
+    rows.push_back(x);
+    const double g = x[0] + 0.3 * x[kDegrees + 2] - 0.2 * x[kCounts] +
+                     x[kObjectives] * x[kWeights] + x[kObjectives + 1] +
+                     0.05 * static_cast<double>(rng.below(8));
+    double y = g;
+    switch (shape) {
+      case TargetShape::kPlain: break;
+      case TargetShape::kOffset: y = 1e9 + 1e-4 * g; break;
+      case TargetShape::kMixedSign: y = 1e3 * (g - 3.0); break;
+      case TargetShape::kTiny: y = 1e-140 * g; break;
+    }
+    d.add(std::move(x), y);
+  }
+  return d;
+}
+
+TEST(RandomForest, SplitSearchPinnedOnRoundingHostileData) {
+  // Generated by the sort-every-sampled-feature split search; a faster
+  // split search must reproduce every bit. One line per case: the hexfloat
+  // predictions at six probe rows.
+  struct Case {
+    TargetShape shape;
+    std::size_t min_samples_leaf;
+    bool all_features;
+  };
+  const std::vector<Case> cases = {
+      {TargetShape::kPlain, 2, false},     {TargetShape::kPlain, 1, true},
+      {TargetShape::kPlain, 3, false},     {TargetShape::kOffset, 2, false},
+      {TargetShape::kOffset, 1, true},     {TargetShape::kMixedSign, 1, false},
+      {TargetShape::kMixedSign, 3, true},  {TargetShape::kTiny, 2, false},
+  };
+  const std::vector<std::string> expected = {
+      "0x1.af671ba447216p+1 0x1.dab57132891dfp+0 0x1.2e1b28abd06f8p+1 "
+      "0x1.f516c26838d23p+0 0x1.199f55da986e2p+1 0x1.199f55da986e2p+1",
+      "0x1.1ea069d34489dp+1 0x1.1ea069d34489dp+1 0x1.68886ffc9239p+1 "
+      "0x1.e6603b36e9904p+1 0x1.e9351b4615a78p+0 0x1.0b5e9cfcc4bdcp+1",
+      "0x1.9a18d2acfef89p+1 0x1.e41ebfa13e02fp+0 0x1.addbff1531a55p+1 "
+      "0x1.6c6a6df21d6a7p+1 0x1.34bd1aaef6fb3p+1 0x1.69ad611cf20bfp+1",
+      "0x1.dcd650000094cp+29 0x1.dcd6500000874p+29 0x1.dcd6500000874p+29 "
+      "0x1.dcd6500000874p+29 0x1.dcd6500000705p+29 0x1.dcd65000006eap+29",
+      "0x1.dcd65000008dp+29 0x1.dcd6500000a19p+29 0x1.dcd65000008dp+29 "
+      "0x1.dcd65000008dp+29 0x1.dcd65000005c8p+29 0x1.dcd6500000764p+29",
+      "-0x1.485f68abcf053p+10 -0x1.a908b5437b9a3p+9 -0x1.a908b5437b9a3p+9 "
+      "-0x1.a908b5437b9a3p+9 0x1.fde5d07ca03a2p+4 -0x1.1ee9a61282c26p+7",
+      "0x1.2c5d8c6aa5ea1p+8 -0x1.c21e71e65536bp+8 0x1.15147362de71fp+7 "
+      "0x1.c69d29df51394p+9 -0x1.8f2b26a43f64dp+4 -0x1.00837fb88eef3p+8",
+      "0x1.1beb208ec4c01p-464 0x1.1beb208ec4c01p-464 0x1.1beb208ec4c01p-464 "
+      "0x1.1beb208ec4c01p-464 0x1.1beb208ec4c01p-464 0x1.1beb208ec4c01p-464",
+  };
+  std::vector<std::string> actual;
+  for (std::size_t c = 0; c < cases.size(); ++c) {
+    util::Rng data_rng(70 + c);
+    const Dataset d = make_noc_shaped_dataset(330, cases[c].shape, data_rng);
+    const Dataset probes = make_noc_shaped_dataset(6, cases[c].shape, data_rng);
+    ForestConfig config;
+    config.num_trees = 4;
+    config.min_samples_leaf = cases[c].min_samples_leaf;
+    if (cases[c].all_features) config.max_features = d.num_features();
+    RandomForest forest(config);
+    util::Rng fit_rng(80 + c);
+    forest.fit(d, fit_rng);
+    std::string line;
+    for (std::size_t i = 0; i < probes.size(); ++i) {
+      if (!line.empty()) line += ' ';
+      line += util::hexfloat(forest.predict(probes.features(i)));
+    }
+    actual.push_back(line);
+  }
+  EXPECT_EQ(actual, expected);
+}
+
 TEST(DecisionTree, AllColumnsConstantAtRootGivesSingleLeaf) {
   Dataset d(3);
   double sum = 0.0;

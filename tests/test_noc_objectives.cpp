@@ -217,6 +217,21 @@ TEST(Objectives, DetailLinkUtilizationConsistent) {
   EXPECT_GT(detail.mean_hops, 0.0);
 }
 
+TEST(Objectives, DisconnectedDesignThrows) {
+  const auto spec = tiny_spec();
+  NocDesign design = tiny_mesh(spec);
+  // Drop the four TSVs: the two layers no longer reach each other.
+  std::erase_if(design.links,
+                [&](const Link& l) { return spec.z_of(l.a) != spec.z_of(l.b); });
+  ASSERT_EQ(design.links.size(), 8u);
+  auto w = empty_workload(spec);
+  w.traffic(0, 1) = 1.0;  // within layer 0: routable
+  EXPECT_NO_THROW(evaluate_objectives(spec, design, w, tiny_params()));
+  w.traffic(0, 6) = 1.0;  // tile 0 (layer 0) -> tile 6 (layer 1): no route
+  EXPECT_THROW(evaluate_objectives(spec, design, w, tiny_params()),
+               std::logic_error);
+}
+
 TEST(Objectives, VerticalResistancePadding) {
   NocObjectiveParams p;
   p.r_vertical = {0.3};
