@@ -18,6 +18,7 @@
 #include "ml/random_forest.hpp"
 #include "moo/hypervolume.hpp"
 #include "moo/scalarize.hpp"
+#include "moo/weights.hpp"
 #include "noc/generator.hpp"
 #include "noc/objectives.hpp"
 #include "noc/problem.hpp"
@@ -90,14 +91,21 @@ struct NocFixture {
   noc::NocDesign design = ops.random_design(rng);
 };
 
-void BM_RoutingTableBuild(benchmark::State& state) {
+// The routing share of one objective evaluation: index the design, then
+// grow the route tree of every source tile.
+void BM_RouteTreeBuild(benchmark::State& state) {
   NocFixture f;
   for (auto _ : state) {
-    noc::RoutingTable routes(f.spec, f.design);
-    benchmark::DoNotOptimize(routes.hops(0, 63));
+    noc::RouteTree routes(f.spec, f.design);
+    int hops = 0;
+    for (std::size_t s = 0; s < routes.num_tiles(); ++s) {
+      routes.build(static_cast<noc::TileId>(s));
+      hops += routes.hops(0);
+    }
+    benchmark::DoNotOptimize(hops);
   }
 }
-BENCHMARK(BM_RoutingTableBuild);
+BENCHMARK(BM_RouteTreeBuild);
 
 void BM_FullObjectiveEvaluation(benchmark::State& state) {
   NocFixture f;
@@ -161,6 +169,45 @@ void BM_ForestTrain(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ForestTrain)->Arg(500)->Arg(2000)->Arg(4000);
+
+// A window shaped like MOELA's S_train on the paper's NoC: each row is a
+// random-walk design's features (one-hot PE types, router degrees, link
+// counts), its five objectives and one of 24 weight vectors; the target is
+// its Eq. (8) value. On these one-hot, small-integer and few-valued
+// columns the split search's bucket estimate rules out most features
+// without sorting them, which BM_ForestTrain's uniform columns rarely show.
+ml::Dataset noc_style_dataset(std::size_t samples) {
+  NocFixture f;
+  const noc::NocProblem problem(f.spec, f.workload, 5);
+  const auto weights = moo::uniform_weights(5, 24);
+  const moo::ObjectiveVector ref(5, 0.0);
+  ml::Dataset d(problem.num_features() + 10);
+  noc::NocDesign design = f.design;
+  for (std::size_t i = 0; i < samples; ++i) {
+    design = problem.random_neighbor(design, f.rng);
+    auto x = problem.features(design);
+    const auto objectives = problem.evaluate(design);
+    const auto& w = weights[f.rng.below(weights.size())];
+    x.insert(x.end(), objectives.begin(), objectives.end());
+    x.insert(x.end(), w.begin(), w.end());
+    d.add(std::move(x), moo::weighted_distance(objectives, w, ref));
+  }
+  return d;
+}
+
+void BM_ForestTrainNocShaped(benchmark::State& state) {
+  const auto d = noc_style_dataset(static_cast<std::size_t>(state.range(0)));
+  util::Rng rng(5);
+  for (auto _ : state) {
+    ml::RandomForest forest;  // MOELA's default: 24 trees, depth 16
+    forest.fit(d, rng);
+    benchmark::DoNotOptimize(forest.num_trees());
+  }
+}
+BENCHMARK(BM_ForestTrainNocShaped)
+    ->Arg(500)
+    ->Arg(1500)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ForestPredict(benchmark::State& state) {
   const auto d = eval_style_dataset(2000, 260);

@@ -76,7 +76,7 @@ struct ExecutorConfig {
   /// and a request that asks to checkpoint resumes from its snapshot file
   /// automatically when one exists. A completed (non-cancelled) run deletes
   /// its file: the snapshot's job is done.
-  std::string snapshot_dir;
+  std::string snapshot_dir{};
   /// Per-class dispatch weights of the fair queue.
   Weights weights{};
   /// Admission bound: runs QUEUED (admitted, not yet started) across all

@@ -1,10 +1,12 @@
 #include "ml/decision_tree.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace moela::ml {
 
@@ -22,6 +24,19 @@ double mean_target(const std::vector<double>& targets,
   double s = 0.0;
   for (std::size_t i : idx) s += targets[i];
   return idx.empty() ? 0.0 : s / static_cast<double>(idx.size());
+}
+
+/// SSE of a split with `nl` samples on the left and `nr` on the right,
+/// from the left side's target sum and sum of squares and the node's:
+///   SSE = sum(y^2) - (sum y)^2 / n on each side.
+inline double split_sse(double left_sum, double left_sq, std::size_t nl,
+                        double total_sum, double total_sq, std::size_t nr) {
+  const double right_sum = total_sum - left_sum;
+  const double right_sq = total_sq - left_sq;
+  const double sse_l = left_sq - left_sum * left_sum / static_cast<double>(nl);
+  const double sse_r =
+      right_sq - right_sum * right_sum / static_cast<double>(nr);
+  return sse_l + sse_r;
 }
 
 /// Finds the best (threshold, SSE) split of `idx` on `feature`. Returns
@@ -53,8 +68,7 @@ SplitResult best_split_on_feature(const double* feature, const double* targets,
             [](const KeyTarget& a, const KeyTarget& b) { return a.x < b.x; });
 
   const std::size_t n = pairs.size();
-  // Prefix sums allow O(1) SSE of each side:
-  //   SSE = sum(y^2) - (sum y)^2 / n.
+  // Prefix sums give each boundary's SSE in O(1).
   double left_sum = 0.0, left_sq = 0.0;
   double total_sum = 0.0, total_sq = 0.0;
   for (const KeyTarget& p : pairs) {
@@ -73,12 +87,8 @@ SplitResult best_split_on_feature(const double* feature, const double* targets,
     const std::size_t nl = k + 1;
     const std::size_t nr = n - nl;
     if (nl < min_samples_leaf || nr < min_samples_leaf) continue;
-    const double right_sum = total_sum - left_sum;
-    const double right_sq = total_sq - left_sq;
-    const double sse_l = left_sq - left_sum * left_sum / static_cast<double>(nl);
-    const double sse_r =
-        right_sq - right_sum * right_sum / static_cast<double>(nr);
-    const double sse = sse_l + sse_r;
+    const double sse =
+        split_sse(left_sum, left_sq, nl, total_sum, total_sq, nr);
     if (sse < best.sse) {
       best.sse = sse;
       best.threshold = 0.5 * (xk + xn);
@@ -87,32 +97,113 @@ SplitResult best_split_on_feature(const double* feature, const double* targets,
   return best;
 }
 
+/// A column value and the row holding it, for ranking a column.
+struct ValueRow {
+  double x;
+  std::uint32_t row;
+};
+
+/// Sorts NaN-free `a` by value (-0.0 and 0.0 adjacent, in either order):
+/// an LSD radix sort over the bytes of an order-preserving integer image of
+/// each value, skipping the bytes every value shares. `scratch` is a
+/// same-sized buffer.
+void radix_sort(std::vector<ValueRow>& a, std::vector<ValueRow>& scratch) {
+  const auto key = [](double x) {
+    const auto bits = std::bit_cast<std::uint64_t>(x);
+    return bits >> 63 != 0 ? ~bits : bits | (std::uint64_t{1} << 63);
+  };
+  std::uint32_t count[8][256] = {};
+  for (const ValueRow& e : a) {
+    const std::uint64_t k = key(e.x);
+    for (int d = 0; d < 8; ++d) ++count[d][(k >> (8 * d)) & 0xff];
+  }
+  for (int d = 0; d < 8; ++d) {
+    std::uint32_t* c = count[d];
+    if (c[(key(a.front().x) >> (8 * d)) & 0xff] == a.size()) continue;
+    std::uint32_t offset = 0;
+    for (int b = 0; b < 256; ++b) offset += std::exchange(c[b], offset);
+    for (const ValueRow& e : a) scratch[c[(key(e.x) >> (8 * d)) & 0xff]++] = e;
+    a.swap(scratch);
+  }
+}
+
+/// One rank's share of a node in the split estimate: how many of the
+/// node's samples hold that value, and the sums of their targets.
+struct Bucket {
+  std::size_t count;
+  double sum;
+  double sq;
+};
+
+/// Bound-and-verify state of one sampled feature: no split on it has an
+/// SSE below `lower`; `exact` is its exact scan's result once `known`.
+struct Candidate {
+  double lower;
+  SplitResult exact;
+  bool known;
+};
+
+/// The estimate's rounding bound, err = 128 * n * u * S1^2, holds only
+/// while every product of targets stays in the normal range: a node whose
+/// S1^2 lies outside [kMinScale, kMaxScale] (or is NaN) scans every
+/// feature exactly. docs/correctness.md derives both.
+constexpr double kUnitRoundoff = 0x1p-53;
+constexpr double kErrFactor = 128.0;
+constexpr double kMinScale = 0x1p-900;
+constexpr double kMaxScale = 0x1p+1000;
+
 }  // namespace
 
 DecisionTree::Columns::Columns(const Dataset& data)
     : rows(data.size()),
       num_features(data.num_features()),
       x(rows * num_features),
-      y(rows) {
+      y(rows),
+      rank(rows * num_features),
+      distinct(num_features, 0) {
   for (std::size_t i = 0; i < rows; ++i) {
     const auto row = data.features(i);
     for (std::size_t f = 0; f < num_features; ++f) x[f * rows + i] = row[f];
     y[i] = data.target(i);
   }
+  std::vector<ValueRow> order(rows), scratch(rows);
+  for (std::size_t f = 0; f < num_features; ++f) {
+    const double* column = feature(f);
+    bool has_nan = false;
+    for (std::size_t i = 0; i < rows; ++i) {
+      order[i] = {column[i], static_cast<std::uint32_t>(i)};
+      has_nan |= std::isnan(column[i]);
+    }
+    if (has_nan || rows == 0) continue;
+    radix_sort(order, scratch);
+    std::uint32_t* r = rank.data() + f * rows;
+    std::uint32_t next = 0;
+    for (std::size_t k = 0; k < rows; ++k) {
+      if (k > 0 && order[k].x != order[k - 1].x) ++next;
+      r[order[k].row] = next;
+    }
+    distinct[f] = next + 1;
+  }
 }
 
 /// The columns and settings of one fit, the sample indices its nodes
-/// partition in place, and the gather buffer every node's split search
-/// reuses.
+/// partition in place, and the buffers every node's split search reuses.
 struct DecisionTree::Grower {
   const Columns& data;
   const TreeConfig& config;
   util::Rng& rng;
   std::vector<Node>& nodes;
   std::vector<std::size_t> indices;
-  std::vector<KeyTarget> pairs;
+  std::vector<KeyTarget> pairs{};
+  std::vector<double> targets{};
+  std::vector<Bucket> buckets{};
+  std::vector<Candidate> candidates{};
 
   std::size_t grow(std::size_t begin, std::size_t end, std::size_t depth);
+  std::pair<std::size_t, SplitResult> best_split(
+      std::span<const std::size_t> idx, const std::vector<std::size_t>& feats);
+  double estimate(std::size_t feature, std::span<const std::size_t> idx,
+                  double total_sum, double total_sq);
 };
 
 void DecisionTree::fit(const Dataset& data,
@@ -136,7 +227,7 @@ void DecisionTree::fit(const Columns& data,
   }
   nodes_.clear();
   Grower grower{data, config, rng, nodes_,
-                  {sample_indices.begin(), sample_indices.end()}, {}};
+                {sample_indices.begin(), sample_indices.end()}};
   grower.grow(0, grower.indices.size(), 0);
 }
 
@@ -174,17 +265,7 @@ std::size_t DecisionTree::Grower::grow(std::size_t begin, std::size_t end,
     feats = rng.sample_indices(f, config.max_features);
   }
 
-  SplitResult best;
-  std::size_t best_feature = Node::kLeaf;
-  for (std::size_t feature : feats) {
-    const SplitResult r =
-        best_split_on_feature(data.feature(feature), data.y.data(), idx,
-                              config.min_samples_leaf, pairs);
-    if (r.sse < best.sse) {
-      best = r;
-      best_feature = feature;
-    }
-  }
+  const auto [best_feature, best] = best_split(idx, feats);
   if (best_feature == Node::kLeaf) return node_id;  // no valid split found
 
   // Partition [begin, end) in place around the chosen threshold.
@@ -204,6 +285,114 @@ std::size_t DecisionTree::Grower::grow(std::size_t begin, std::size_t end,
   nodes[node_id].left = left;
   nodes[node_id].right = right;
   return node_id;
+}
+
+/// The first feature in `feats` order whose exact scan reaches the node's
+/// least SSE, with that scan's split: what scanning every feature exactly
+/// would pick. Each feature's best SSE is first bracketed by an estimate
+/// plus or minus `err`, or by its exact scan where no estimate applies.
+/// A feature whose lower end exceeds the least upper end U cannot be that
+/// first minimum (its SSE is above U, which some other feature's SSE does
+/// not exceed), so only the others are scanned, in `feats` order.
+std::pair<std::size_t, SplitResult> DecisionTree::Grower::best_split(
+    std::span<const std::size_t> idx, const std::vector<std::size_t>& feats) {
+  const std::size_t n = idx.size();
+  targets.resize(n);
+  double abs_sum = 0.0, total_sum = 0.0, total_sq = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double y = data.y[idx[k]];
+    targets[k] = y;
+    abs_sum += std::abs(y);
+    total_sum += y;
+    total_sq += y * y;
+  }
+  const double scale = abs_sum * abs_sum;
+  const double err =
+      kErrFactor * static_cast<double>(n) * kUnitRoundoff * scale;
+  const bool bounded = scale >= kMinScale && scale <= kMaxScale;
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  double least_upper = kInf;
+  candidates.resize(feats.size());
+  for (std::size_t c = 0; c < feats.size(); ++c) {
+    const std::size_t f = feats[c];
+    if (bounded && data.distinct[f] != 0 && data.distinct[f] <= n) {
+      const double m = estimate(f, idx, total_sum, total_sq);
+      // Both scans see the same boundaries (between distinct values, with
+      // the same counts), so no boundary here means none there either.
+      if (m == kInf) {
+        candidates[c] = {kInf, {}, true};
+        continue;
+      }
+      candidates[c] = {m - err, {}, false};
+      least_upper = std::min(least_upper, m + err);
+    } else {
+      const SplitResult r =
+          best_split_on_feature(data.feature(f), data.y.data(), idx,
+                                config.min_samples_leaf, pairs);
+      candidates[c] = {r.sse, r, true};
+      least_upper = std::min(least_upper, r.sse);
+    }
+  }
+
+  SplitResult best;
+  std::size_t best_feature = Node::kLeaf;
+  for (std::size_t c = 0; c < feats.size(); ++c) {
+    Candidate& candidate = candidates[c];
+    if (!candidate.known) {
+      if (candidate.lower > least_upper) continue;
+      candidate.exact =
+          best_split_on_feature(data.feature(feats[c]), data.y.data(), idx,
+                                config.min_samples_leaf, pairs);
+    }
+    if (candidate.exact.sse < best.sse) {
+      best = candidate.exact;
+      best_feature = feats[c];
+    }
+  }
+  return {best_feature, best};
+}
+
+/// Least SSE over the boundaries between the node's distinct values of a
+/// ranked feature (+inf when none leaves min_samples_leaf samples on both
+/// sides), from per-rank target sums gathered in index order. It computes
+/// what the exact scan computes, in a different summation order.
+double DecisionTree::Grower::estimate(std::size_t feature,
+                                      std::span<const std::size_t> idx,
+                                      double total_sum, double total_sq) {
+  const std::size_t n = idx.size();
+  const std::uint32_t* rank = data.ranks(feature);
+  // A column with one rank over the node has no boundary. Most one-hot
+  // columns are constant below the first levels, and this read-only pass
+  // costs far less than bucketing them.
+  const std::uint32_t first = rank[idx.front()];
+  if (std::all_of(idx.begin(), idx.end(),
+                  [&](std::size_t i) { return rank[i] == first; })) {
+    return std::numeric_limits<double>::infinity();
+  }
+  buckets.assign(data.distinct[feature], Bucket{});
+  for (std::size_t k = 0; k < n; ++k) {
+    Bucket& b = buckets[rank[idx[k]]];
+    const double y = targets[k];
+    ++b.count;
+    b.sum += y;
+    b.sq += y * y;
+  }
+  double best = std::numeric_limits<double>::infinity();
+  std::size_t nl = 0;
+  double left_sum = 0.0, left_sq = 0.0;
+  for (const Bucket& b : buckets) {
+    if (b.count == 0) continue;
+    nl += b.count;
+    if (nl == n) break;  // the last non-empty bucket: no boundary after it
+    left_sum += b.sum;
+    left_sq += b.sq;
+    const std::size_t nr = n - nl;
+    if (nl < config.min_samples_leaf || nr < config.min_samples_leaf) continue;
+    best = std::min(best, split_sse(left_sum, left_sq, nl, total_sum,
+                                    total_sq, nr));
+  }
+  return best;
 }
 
 double DecisionTree::predict(std::span<const double> features) const {

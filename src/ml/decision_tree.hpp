@@ -5,10 +5,14 @@
 // (and MOO-STAGE's) learned evaluation function. Exact split search over all
 // candidate thresholds of a random feature subset per node. The search reads
 // a column-major copy of the training window, made once per fit (once per
-// forest when a RandomForest drives the fit).
+// forest when a RandomForest drives the fit). Each node first bounds every
+// sampled feature's best SSE with an order-free bucket estimate, then runs
+// the exact sorted scan only on the features that could still win
+// (docs/correctness.md, "Rules that keep the split search exact").
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -57,15 +61,23 @@ class DecisionTree {
 
   /// Column-major copy of a Dataset window: feature f of sample i is
   /// x[f * rows + i]. Each node's split search gathers from one contiguous
-  /// column instead of chasing one heap row per sample.
+  /// column instead of chasing one heap row per sample. rank[f * rows + i]
+  /// is sample i's position among column f's distinct values (values equal
+  /// under == share a rank) and distinct[f] their count; a column holding
+  /// a NaN has no ranks (distinct[f] == 0).
   struct Columns {
     explicit Columns(const Dataset& data);
     const double* feature(std::size_t f) const { return x.data() + f * rows; }
+    const std::uint32_t* ranks(std::size_t f) const {
+      return rank.data() + f * rows;
+    }
 
     std::size_t rows;
     std::size_t num_features;
     std::vector<double> x;
     std::vector<double> y;
+    std::vector<std::uint32_t> rank;
+    std::vector<std::uint32_t> distinct;
   };
 
   /// One fit's working state (defined in decision_tree.cpp).

@@ -35,31 +35,35 @@ NocObjectives evaluate_objectives(const PlatformSpec& spec,
     throw std::invalid_argument("evaluate_objectives: workload size mismatch");
   }
 
-  const RoutingTable routes(spec, design);
-  const LinkIndex link_index(design.links);
+  RouteTree routes(spec, design);
   const auto tile_of = design.tile_of_core();
   const std::size_t num_links = design.links.size();
 
-  // Per-link physical length d_k (units) and delay (cycles), precomputed.
-  std::vector<double> link_length(num_links);
+  // Per-link delay (cycles) and energy per flit (physical length d_k times
+  // E_link), and per-router energy per flit (E_r times its port count P_k),
+  // precomputed.
   std::vector<double> link_delay(num_links);
+  std::vector<double> link_energy(num_links);
   for (std::size_t k = 0; k < num_links; ++k) {
     const Link& l = design.links[k];
     if (spec.z_of(l.a) == spec.z_of(l.b)) {
       const double len = spec.planar_length(l.a, l.b);
-      link_length[k] = len;
       link_delay[k] = params.delay_per_unit * len;
+      link_energy[k] = len * params.e_link;
     } else {
-      link_length[k] = params.vertical_length;
       link_delay[k] = params.vertical_delay;
+      link_energy[k] = params.vertical_length * params.e_link;
     }
   }
-
-  // Router port counts P_k (degree of each router).
-  const Adjacency adj(spec, design.links);
+  std::vector<double> router_term(routes.num_tiles());
+  for (std::size_t t = 0; t < router_term.size(); ++t) {
+    router_term[t] = params.e_router * static_cast<double>(routes.degree(
+                                           static_cast<TileId>(t)));
+  }
 
   // --- Single traffic sweep: accumulate link utilization u_k, energy,
-  // and CPU-LLC latency terms.
+  // and CPU-LLC latency terms. Each core's row is swept over the route tree
+  // of its tile.
   std::vector<double> util(num_links, 0.0);
   double energy = 0.0;
   double latency_sum = 0.0;
@@ -67,7 +71,7 @@ NocObjectives evaluate_objectives(const PlatformSpec& spec,
   double traffic_total = 0.0;
 
   for (CoreId i = 0; i < num_cores; ++i) {
-    const TileId src = tile_of[i];
+    routes.build(tile_of[i]);
     const bool src_is_cpu = spec.core_type(i) == PeType::kCpu;
     for (CoreId j = 0; j < num_cores; ++j) {
       const double f = workload.traffic(i, j);
@@ -80,15 +84,13 @@ NocObjectives evaluate_objectives(const PlatformSpec& spec,
       // including source and destination) spends E_r per port it has. The
       // walk runs from the destination back to the source, so the
       // destination's term comes first.
-      double router_energy =
-          params.e_router * static_cast<double>(adj.degree(dst));
+      double router_energy = router_term[dst];
       int hops = 0;
-      routes.for_each_hop(src, dst, [&](TileId a, TileId b) {
-        const std::size_t k = link_index.of(a, b);
+      routes.for_each_hop(dst, [&](TileId a, TileId, std::size_t k) {
         util[k] += f;
         path_delay += link_delay[k];
-        path_link_energy += link_length[k] * params.e_link;
-        router_energy += params.e_router * static_cast<double>(adj.degree(a));
+        path_link_energy += link_energy[k];
+        router_energy += router_term[a];
         ++hops;
       });
 

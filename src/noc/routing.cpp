@@ -1,62 +1,69 @@
 #include "noc/routing.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
 #include <stdexcept>
 
 namespace moela::noc {
 
-RoutingTable::RoutingTable(const PlatformSpec& spec, const NocDesign& design)
+RouteTree::RouteTree(const PlatformSpec& spec, const NocDesign& design)
     : n_(spec.num_tiles()),
-      dist_(n_ * n_, -1),
-      parent_(n_ * n_, 0) {
-  const Adjacency adj(spec, design.links);
-  std::deque<TileId> queue;
-  for (TileId s = 0; s < n_; ++s) {
-    dist_[index(s, s)] = 0;
-    parent_[index(s, s)] = s;
-    queue.clear();
-    queue.push_back(s);
-    while (!queue.empty()) {
-      const TileId u = queue.front();
-      queue.pop_front();
-      const int du = dist_[index(s, u)];
-      // Ascending neighbor order gives the deterministic tie-break.
-      for (TileId v : adj.neighbors(u)) {
-        if (dist_[index(s, v)] < 0) {
-          dist_[index(s, v)] = du + 1;
-          parent_[index(s, v)] = u;
-          queue.push_back(v);
-        }
+      words_((n_ + 63) / 64),
+      rows_(n_ * words_, 0),
+      link_of_(n_ * n_),
+      degree_(n_, 0),
+      seen_(words_, 0),
+      parent_(n_, 0),
+      link_(n_, 0),
+      queue_(n_) {
+  for (std::size_t k = 0; k < design.links.size(); ++k) {
+    const Link& l = design.links[k];
+    rows_[l.a * words_ + l.b / 64] |= std::uint64_t{1} << (l.b % 64);
+    rows_[l.b * words_ + l.a / 64] |= std::uint64_t{1} << (l.a % 64);
+    link_of_[l.a * n_ + l.b] = static_cast<std::uint32_t>(k);
+    link_of_[l.b * n_ + l.a] = static_cast<std::uint32_t>(k);
+    ++degree_[l.a];
+    ++degree_[l.b];
+  }
+}
+
+void RouteTree::build(TileId source) {
+  source_ = source;
+  std::fill(seen_.begin(), seen_.end(), 0);
+  parent_[source] = source;
+  seen_[source / 64] |= std::uint64_t{1} << (source % 64);
+  queue_[0] = source;
+  std::size_t tail = 1;
+  for (std::size_t head = 0; head < tail; ++head) {
+    const TileId u = queue_[head];
+    const std::uint64_t* row = rows_.data() + u * words_;
+    for (std::size_t w = 0; w < words_; ++w) {
+      std::uint64_t fresh = row[w] & ~seen_[w];
+      seen_[w] |= fresh;
+      for (; fresh != 0; fresh &= fresh - 1) {
+        const auto v =
+            static_cast<TileId>(w * 64 + std::countr_zero(fresh));
+        parent_[v] = u;
+        link_[v] = link_of_[u * n_ + v];
+        queue_[tail++] = v;
       }
     }
   }
 }
 
-std::vector<TileId> RoutingTable::path(TileId s, TileId t) const {
-  if (dist_[index(s, t)] < 0) {
-    throw std::logic_error("RoutingTable::path: unreachable pair");
-  }
-  std::vector<TileId> out;
-  TileId cur = t;
-  while (cur != s) {
-    out.push_back(cur);
-    cur = parent_[index(s, cur)];
-  }
-  out.push_back(s);
-  std::reverse(out.begin(), out.end());
-  return out;
+int RouteTree::hops(TileId t) const {
+  if (!reached(t)) return -1;
+  int count = 0;
+  for_each_hop(t, [&](TileId, TileId, std::uint32_t) { ++count; });
+  return count;
 }
 
-LinkIndex::LinkIndex(const std::vector<Link>& links)
-    : size_(links.size()), tiles_(0) {
-  for (const Link& l : links) {
-    tiles_ = std::max<std::size_t>(tiles_, std::size_t{l.b} + 1);
-  }
-  table_.assign(tiles_ * tiles_, kNone);
-  for (std::size_t k = 0; k < links.size(); ++k) {
-    table_[links[k].a * tiles_ + links[k].b] = static_cast<std::uint32_t>(k);
-  }
+std::vector<TileId> RouteTree::path(TileId t) const {
+  std::vector<TileId> out;
+  for_each_hop(t, [&](TileId, TileId b, std::uint32_t) { out.push_back(b); });
+  out.push_back(source_);
+  std::reverse(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace moela::noc

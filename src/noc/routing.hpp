@@ -17,70 +17,60 @@
 
 namespace moela::noc {
 
-class RoutingTable {
+/// Minimal-hop routes out of one source tile at a time. The constructor
+/// indexes the design once: a neighbor bit row per tile (ceil(n/64) words),
+/// the link joining each linked tile pair (the later of duplicate links)
+/// and each router's degree (duplicate links count twice, as in
+/// Adjacency). build(s) then grows the BFS tree rooted at s, reusing the
+/// tree buffers of the previous source.
+class RouteTree {
  public:
-  /// Builds single-source shortest-path trees from every tile. O(V(V+E)).
-  RoutingTable(const PlatformSpec& spec, const NocDesign& design);
+  RouteTree(const PlatformSpec& spec, const NocDesign& design);
 
-  /// Hop count between tiles (number of links traversed); 0 for s == t.
-  /// Unreachable pairs (cannot occur for feasible designs) report a negative
-  /// value.
-  int hops(TileId s, TileId t) const {
-    return dist_[index(s, t)];
-  }
+  /// Replaces the current tree with the one rooted at `source`: tiles are
+  /// popped in queue order and each takes its unvisited neighbors in
+  /// ascending id, so every tile's parent is deterministic.
+  void build(TileId source);
 
-  /// The tile sequence s -> ... -> t along the deterministic minimal route.
-  std::vector<TileId> path(TileId s, TileId t) const;
+  /// Links traversed from the source to t (0 for t == source); negative
+  /// when t is unreachable.
+  int hops(TileId t) const;
 
-  /// Invokes fn(a, b) for each link (a, b) on the route s -> t, in order.
+  /// The tile sequence source -> ... -> t along the tree.
+  std::vector<TileId> path(TileId t) const;
+
+  /// Invokes fn(a, b, k) for each hop a -> b of the route source -> t,
+  /// from t back to the source; k is the index in design.links of the link
+  /// joining a and b. Throws std::logic_error when t is unreachable.
   template <typename Fn>
-  void for_each_hop(TileId s, TileId t, Fn&& fn) const {
-    // Walk the predecessor chain from t back to s (predecessors are with
-    // respect to source s).
-    TileId cur = t;
-    while (cur != s) {
-      const TileId prev = parent_[index(s, cur)];
-      fn(prev, cur);
+  void for_each_hop(TileId t, Fn&& fn) const {
+    if (!reached(t)) throw std::logic_error("RouteTree: no route to tile");
+    for (TileId cur = t; cur != source_;) {
+      const TileId prev = parent_[cur];
+      fn(prev, cur, link_[cur]);
       cur = prev;
     }
   }
 
+  /// Router degree (port count toward other routers).
+  std::size_t degree(TileId t) const { return degree_[t]; }
   std::size_t num_tiles() const { return n_; }
 
  private:
-  std::size_t index(TileId s, TileId t) const {
-    return static_cast<std::size_t>(s) * n_ + t;
-  }
+  bool reached(TileId t) const { return (seen_[t / 64] >> (t % 64)) & 1; }
 
   std::size_t n_;
-  std::vector<int> dist_;       // n x n
-  std::vector<TileId> parent_;  // n x n, parent[s][t] on route from s
-};
+  std::size_t words_;                   // 64-bit words per neighbor row
+  std::vector<std::uint64_t> rows_;     // [t * words_ + w]
+  std::vector<std::uint32_t> link_of_;  // [a * n_ + b], both orders
+  std::vector<std::uint32_t> degree_;
 
-/// Maps each link of a canonical (sorted) link set to its index; used to
-/// accumulate per-link utilization u_k. A dense tile-pair table makes each
-/// lookup O(1) on the per-hop path of the traffic sweep.
-class LinkIndex {
- public:
-  explicit LinkIndex(const std::vector<Link>& links);
-
-  /// Index of the link {a, b}; the link must exist in the set.
-  std::size_t of(TileId a, TileId b) const {
-    const Link key(a, b);
-    const std::uint32_t k =
-        key.b < tiles_ ? table_[key.a * tiles_ + key.b] : kNone;
-    if (k == kNone) throw std::logic_error("LinkIndex::of: link not in set");
-    return k;
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
-
-  std::size_t size_;
-  std::size_t tiles_;  // one past the largest tile id of any link
-  std::vector<std::uint32_t> table_;  // [a * tiles_ + b] for a < b
+  // The tree rooted at source_, rebuilt by build().
+  TileId source_ = 0;
+  std::vector<std::uint64_t> seen_;  // bit t: t is in the tree
+  std::vector<TileId> parent_;
+  std::vector<std::uint32_t> link_;  // link from parent_[t] into t
+  std::vector<TileId> queue_;
 };
 
 }  // namespace moela::noc

@@ -27,13 +27,14 @@ NocDesign mesh_design(const PlatformSpec& spec) {
 
 TEST(Routing, MeshHopsAreManhattan3D) {
   const auto spec = PlatformSpec::small_3x3x3();
-  const RoutingTable routes(spec, mesh_design(spec));
+  RouteTree routes(spec, mesh_design(spec));
   for (TileId s = 0; s < spec.num_tiles(); ++s) {
+    routes.build(s);
     for (TileId t = 0; t < spec.num_tiles(); ++t) {
       const int expected = std::abs(spec.x_of(s) - spec.x_of(t)) +
                            std::abs(spec.y_of(s) - spec.y_of(t)) +
                            std::abs(spec.z_of(s) - spec.z_of(t));
-      EXPECT_EQ(routes.hops(s, t), expected) << s << "->" << t;
+      EXPECT_EQ(routes.hops(t), expected) << s << "->" << t;
     }
   }
 }
@@ -43,30 +44,35 @@ TEST(Routing, HopsSymmetricOnUndirectedGraph) {
   DesignOps ops(spec);
   util::Rng rng(3);
   const NocDesign d = ops.random_design(rng);
-  const RoutingTable routes(spec, d);
+  RouteTree from_s(spec, d);
+  RouteTree from_t(spec, d);
   for (TileId s = 0; s < spec.num_tiles(); s += 5) {
+    from_s.build(s);
     for (TileId t = 0; t < spec.num_tiles(); t += 3) {
-      EXPECT_EQ(routes.hops(s, t), routes.hops(t, s));
+      from_t.build(t);
+      EXPECT_EQ(from_s.hops(t), from_t.hops(s));
     }
   }
 }
 
 TEST(Routing, PathEndpointsAndLength) {
   const auto spec = PlatformSpec::small_3x3x3();
-  const RoutingTable routes(spec, mesh_design(spec));
+  RouteTree routes(spec, mesh_design(spec));
   const TileId s = spec.tile_at(0, 0, 0);
   const TileId t = spec.tile_at(2, 2, 2);
-  const auto path = routes.path(s, t);
+  routes.build(s);
+  const auto path = routes.path(t);
   ASSERT_GE(path.size(), 2u);
   EXPECT_EQ(path.front(), s);
   EXPECT_EQ(path.back(), t);
-  EXPECT_EQ(static_cast<int>(path.size()) - 1, routes.hops(s, t));
+  EXPECT_EQ(static_cast<int>(path.size()) - 1, routes.hops(t));
 }
 
 TEST(Routing, PathToSelfIsSingleton) {
   const auto spec = PlatformSpec::small_3x3x3();
-  const RoutingTable routes(spec, mesh_design(spec));
-  const auto path = routes.path(4, 4);
+  RouteTree routes(spec, mesh_design(spec));
+  routes.build(4);
+  const auto path = routes.path(4);
   ASSERT_EQ(path.size(), 1u);
   EXPECT_EQ(path[0], 4);
 }
@@ -76,10 +82,11 @@ TEST(Routing, ConsecutivePathTilesAreLinked) {
   DesignOps ops(spec);
   util::Rng rng(7);
   const NocDesign d = ops.random_design(rng);
-  const RoutingTable routes(spec, d);
+  RouteTree routes(spec, d);
   for (TileId s = 0; s < spec.num_tiles(); s += 7) {
+    routes.build(s);
     for (TileId t = 0; t < spec.num_tiles(); t += 11) {
-      const auto path = routes.path(s, t);
+      const auto path = routes.path(t);
       for (std::size_t i = 1; i < path.size(); ++i) {
         const Link hop(path[i - 1], path[i]);
         EXPECT_TRUE(
@@ -92,12 +99,13 @@ TEST(Routing, ConsecutivePathTilesAreLinked) {
 
 TEST(Routing, ForEachHopMatchesPath) {
   const auto spec = PlatformSpec::small_3x3x3();
-  const RoutingTable routes(spec, mesh_design(spec));
+  RouteTree routes(spec, mesh_design(spec));
   const TileId s = spec.tile_at(0, 1, 0);
   const TileId t = spec.tile_at(2, 0, 2);
-  const auto path = routes.path(s, t);
+  routes.build(s);
+  const auto path = routes.path(t);
   std::size_t hops = 0;
-  routes.for_each_hop(s, t, [&](TileId a, TileId b) {
+  routes.for_each_hop(t, [&](TileId a, TileId b, std::size_t) {
     // for_each_hop walks backwards from t; every reported pair must be a
     // consecutive pair of `path`.
     bool found = false;
@@ -115,11 +123,16 @@ TEST(Routing, DeterministicAcrossRebuilds) {
   DesignOps ops(spec);
   util::Rng rng(11);
   const NocDesign d = ops.random_design(rng);
-  const RoutingTable r1(spec, d);
-  const RoutingTable r2(spec, d);
+  RouteTree r1(spec, d);
+  RouteTree r2(spec, d);
   for (TileId s = 0; s < spec.num_tiles(); s += 3) {
+    r1.build(s);
+    // r2 reaches s from a different previous tree: build() must not
+    // depend on what it held before.
+    r2.build(static_cast<TileId>((s + 17) % spec.num_tiles()));
+    r2.build(s);
     for (TileId t = 0; t < spec.num_tiles(); t += 5) {
-      EXPECT_EQ(r1.path(s, t), r2.path(s, t));
+      EXPECT_EQ(r1.path(t), r2.path(t));
     }
   }
 }
@@ -131,12 +144,15 @@ TEST(Routing, ShortestOverRandomTopologies) {
   util::Rng rng(13);
   for (int trial = 0; trial < 5; ++trial) {
     const NocDesign d = ops.random_design(rng);
-    const RoutingTable routes(spec, d);
+    RouteTree from_s(spec, d);
+    RouteTree from_v(spec, d);
     const Adjacency adj(spec, d.links);
     for (TileId s = 0; s < spec.num_tiles(); ++s) {
+      from_s.build(s);
       for (TileId v : adj.neighbors(s)) {
+        from_v.build(v);
         for (TileId t = 0; t < spec.num_tiles(); ++t) {
-          EXPECT_LE(routes.hops(s, t), 1 + routes.hops(v, t))
+          EXPECT_LE(from_s.hops(t), 1 + from_v.hops(t))
               << "triangle inequality violated";
         }
       }
@@ -144,23 +160,46 @@ TEST(Routing, ShortestOverRandomTopologies) {
   }
 }
 
-TEST(LinkIndex, FindsEveryLink) {
+TEST(Routing, TreeEdgesNameTheirLinks) {
+  // Every hop's link index names a link joining that parent and child,
+  // also when the link list is shuffled and holds a duplicate (the later
+  // copy is the one reported) and on the 3x3x3 platform.
   const auto spec = PlatformSpec::small_3x3x3();
-  const NocDesign d = mesh_design(spec);
-  const LinkIndex index(d.links);
-  for (std::size_t k = 0; k < d.links.size(); ++k) {
-    EXPECT_EQ(index.of(d.links[k].a, d.links[k].b), k);
-    EXPECT_EQ(index.of(d.links[k].b, d.links[k].a), k);  // order-insensitive
+  DesignOps ops(spec);
+  util::Rng rng(19);
+  NocDesign d = ops.random_design(rng);
+  rng.shuffle(d.links);
+  const std::size_t dup = 3;
+  d.links.insert(d.links.begin(), d.links[dup]);
+  const Adjacency adj(spec, d.links);
+  RouteTree routes(spec, d);
+  std::size_t hops_seen = 0;
+  for (TileId s = 0; s < spec.num_tiles(); ++s) {
+    EXPECT_EQ(routes.degree(s), adj.degree(s));
+    routes.build(s);
+    for (TileId t = 0; t < spec.num_tiles(); ++t) {
+      routes.for_each_hop(t, [&](TileId a, TileId b, std::size_t k) {
+        ASSERT_LT(k, d.links.size());
+        EXPECT_EQ(d.links[k], Link(a, b)) << s << "->" << t;
+        EXPECT_NE(k, 0u) << "the earlier duplicate carries no route";
+        ++hops_seen;
+      });
+    }
   }
+  EXPECT_GT(hops_seen, 0u);
 }
 
-TEST(LinkIndex, MissingLinkThrows) {
+TEST(Routing, UnreachableTileHasNoRoute) {
   const auto spec = PlatformSpec::small_3x3x3();
-  const NocDesign d = mesh_design(spec);
-  const LinkIndex index(d.links);
-  // (0,0,0)-(2,0,0) is a legal candidate but not a mesh link.
-  EXPECT_THROW(index.of(spec.tile_at(0, 0, 0), spec.tile_at(2, 0, 0)),
-               std::logic_error);
+  NocDesign d = mesh_design(spec);
+  // Keep layer 0's planar links only: tiles above it are cut off.
+  std::erase_if(d.links, [&](const Link& l) { return spec.z_of(l.b) > 0; });
+  RouteTree routes(spec, d);
+  routes.build(0);
+  const TileId above = spec.tile_at(0, 0, 1);
+  EXPECT_LT(routes.hops(above), 0);
+  EXPECT_THROW(routes.path(above), std::logic_error);
+  EXPECT_EQ(routes.hops(spec.tile_at(2, 2, 0)), 4);
 }
 
 }  // namespace
