@@ -311,6 +311,10 @@ std::pair<std::size_t, SplitResult> DecisionTree::Grower::best_split(
       kErrFactor * static_cast<double>(n) * kUnitRoundoff * scale;
   const bool bounded = scale >= kMinScale && scale <= kMaxScale;
 
+  const auto scan = [&](std::size_t f) {
+    return best_split_on_feature(data.feature(f), data.y.data(), idx,
+                                 config.min_samples_leaf, pairs);
+  };
   constexpr double kInf = std::numeric_limits<double>::infinity();
   double least_upper = kInf;
   candidates.resize(feats.size());
@@ -327,9 +331,7 @@ std::pair<std::size_t, SplitResult> DecisionTree::Grower::best_split(
       candidates[c] = {m - err, {}, false};
       least_upper = std::min(least_upper, m + err);
     } else {
-      const SplitResult r =
-          best_split_on_feature(data.feature(f), data.y.data(), idx,
-                                config.min_samples_leaf, pairs);
+      const SplitResult r = scan(f);
       candidates[c] = {r.sse, r, true};
       least_upper = std::min(least_upper, r.sse);
     }
@@ -341,9 +343,7 @@ std::pair<std::size_t, SplitResult> DecisionTree::Grower::best_split(
     Candidate& candidate = candidates[c];
     if (!candidate.known) {
       if (candidate.lower > least_upper) continue;
-      candidate.exact =
-          best_split_on_feature(data.feature(feats[c]), data.y.data(), idx,
-                                config.min_samples_leaf, pairs);
+      candidate.exact = scan(feats[c]);
     }
     if (candidate.exact.sse < best.sse) {
       best = candidate.exact;
