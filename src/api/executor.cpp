@@ -178,10 +178,10 @@ Executor::Admission Executor::submit(std::vector<RunRequest> requests,
         try {
           RunReport report =
               execute(job->request, job->control, job->index, job->batch);
-          retire(cls);
+          retire(cls, report.provenance.cancelled);
           job->promise.set_value(std::move(report));
         } catch (...) {
-          retire(cls);
+          retire(cls, false);
           job->promise.set_exception(std::current_exception());
         }
       };
@@ -210,10 +210,11 @@ std::vector<RunReport> Executor::run_all(std::vector<RunRequest> requests,
   return reports;
 }
 
-void Executor::retire(std::size_t cls) {
+void Executor::retire(std::size_t cls, bool cancelled) {
   util::MutexLock lock(mutex_);
   --counters_[cls].running;
   ++counters_[cls].completed;
+  if (cancelled) ++counters_[cls].cancelled;
 }
 
 void Executor::worker_loop() {

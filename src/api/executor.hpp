@@ -153,10 +153,11 @@ class Executor {
 
   RunReport execute(const RunRequest& request, RunControl* control,
                     std::size_t index, const std::shared_ptr<BatchState>& batch);
-  /// Moves one run of class index `cls` from running to completed. Called
-  /// by the job itself just before it fulfills its promise, so counter
-  /// snapshots are never behind a report the caller already holds.
-  void retire(std::size_t cls);
+  /// Moves one run of class index `cls` from running to completed (and
+  /// counts it cancelled when its report says so). Called by the job
+  /// itself just before it fulfills its promise, so counter snapshots are
+  /// never behind a report the caller already holds.
+  void retire(std::size_t cls, bool cancelled);
   void worker_loop();
 
   ExecutorConfig config_;

@@ -91,6 +91,9 @@ struct ClassCounters {
   std::uint64_t running = 0;
   std::uint64_t completed = 0;
   std::uint64_t shed = 0;
+  /// Lifetime total of completed runs whose report came back cancelled;
+  /// the health verb reports only its sum across classes.
+  std::uint64_t cancelled = 0;
 };
 
 }  // namespace moela::api

@@ -427,16 +427,21 @@ std::vector<RunReport> ShardedExecutor::run_all(
   // one blackholed endpoint cannot serialize the whole fleet's startup
   // behind its TCP connect timeout.
   std::vector<std::size_t> healthy;
-  std::vector<std::size_t> probed_jobs(config_.endpoints.size(), 0);
-  /// Reported load (runs executing + runs queued, each counted once), the
-  /// kWeighted placement's second input. Zero when unprobed or the daemon
-  /// predates the fields.
-  std::vector<std::size_t> probed_load(config_.endpoints.size(), 0);
+  /// What each probe reported; zero when unprobed or the daemon predates
+  /// the field. `load` (runs executing + runs queued, each counted once)
+  /// is the kWeighted placement's second input; `max_inflight` is the
+  /// daemon's per-connection bound.
+  struct Probed {
+    std::size_t jobs = 0;
+    std::size_t load = 0;
+    std::size_t max_inflight = 0;
+  };
+  std::vector<Probed> probed(config_.endpoints.size());
   if (config_.probe_health) {
     std::vector<std::thread> probes;
     probes.reserve(config_.endpoints.size());
     for (std::size_t s = 0; s < config_.endpoints.size(); ++s) {
-      probes.emplace_back([this, s, &probed_jobs, &probed_load] {
+      probes.emplace_back([this, s, &probed] {
         const ShardEndpoint& endpoint = config_.endpoints[s];
         try {
           serve::Client probe;
@@ -448,9 +453,11 @@ std::vector<RunReport> ShardedExecutor::run_all(
                 a != nullptr && a->is_bool()) {
               accepting = a->as_bool();
             }
-            probed_jobs[s] = util::u64_field_or(health, "jobs", 0);
-            probed_load[s] = util::u64_field_or(health, "running", 0) +
+            probed[s].jobs = util::u64_field_or(health, "jobs", 0);
+            probed[s].load = util::u64_field_or(health, "running", 0) +
                              util::u64_field_or(health, "queued", 0);
+            probed[s].max_inflight =
+                util::u64_field_or(health, "max_inflight", 0);
           } catch (const serve::RemoteError&) {
             accepting = probe.ping();  // daemon predates the health verb
           }
@@ -513,11 +520,11 @@ std::vector<RunReport> ShardedExecutor::run_all(
           std::size_t best = healthy.front();
           for (const std::size_t s : healthy) {
             const std::uint64_t cap_s =
-                std::max<std::uint64_t>(1, probed_jobs[s]);
+                std::max<std::uint64_t>(1, probed[s].jobs);
             const std::uint64_t cap_best =
-                std::max<std::uint64_t>(1, probed_jobs[best]);
-            if ((probed_load[s] + assigned[s]) * cap_best <
-                (probed_load[best] + assigned[best]) * cap_s) {
+                std::max<std::uint64_t>(1, probed[best].jobs);
+            if ((probed[s].load + assigned[s]) * cap_best <
+                (probed[best].load + assigned[best]) * cap_s) {
               best = s;
             }
           }
@@ -533,14 +540,19 @@ std::vector<RunReport> ShardedExecutor::run_all(
     std::vector<std::thread> workers;
     workers.reserve(healthy.size());
     for (const std::size_t s : healthy) {
-      // Wire-batch size: an explicit steal_chunk wins; otherwise size each
-      // shard's chunk to the daemon's probed worker count, so a chunk
-      // saturates the daemon's Executor pool instead of serializing it
-      // one run at a time.
-      const std::size_t chunk_size =
-          config_.steal_chunk > 0
-              ? config_.steal_chunk
-              : std::max<std::size_t>(std::size_t{1}, probed_jobs[s]);
+      // Wire-batch size: an explicit steal_chunk wins. A lone shard gets
+      // the whole batch in one wire batch (capped at its probed in-flight
+      // bound): splitting it would only add rounds, each waiting on its
+      // slowest run. With peers, each chunk is the daemon's probed worker
+      // count, so a chunk saturates the daemon's Executor pool while the
+      // rest of the batch stays stealable.
+      std::size_t chunk_size = config_.steal_chunk;
+      if (chunk_size == 0 && healthy.size() == 1) {
+        const std::size_t cap = probed[s].max_inflight;
+        chunk_size = cap > 0 ? std::min(n, cap) : n;
+      } else if (chunk_size == 0) {
+        chunk_size = std::max<std::size_t>(1, probed[s].jobs);
+      }
       workers.emplace_back([this, s, chunk_size, n, &requests, &reports,
                             &shared, control] {
         run_shard(config_, config_.endpoints[s], stats_[s], s, chunk_size,

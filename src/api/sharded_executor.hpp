@@ -99,13 +99,15 @@ struct ShardedExecutorConfig {
   /// any one member), and transport failures that requeue never-started
   /// requests do not count either.
   std::size_t max_attempts = 3;
-  /// Requests submitted per wire batch (both policies pull this many at a
-  /// time). 0 (the default) sizes each shard's chunk to the daemon's
-  /// health-probed worker count, so one chunk saturates the daemon's
-  /// Executor pool; an explicit value >= 1 fixes it (a failed chunk is
-  /// retried whole, so smaller = finer retry granularity). Auto sizing
-  /// needs the probe: with probe_health off (or a daemon predating the
-  /// health verb) it degrades to 1 — set an explicit value there.
+  /// Requests submitted per wire batch (every policy pulls this many at a
+  /// time). 0 (the default) sizes chunks from the health probe: a lone
+  /// healthy shard takes the whole batch in one wire batch, capped at the
+  /// daemon's probed max_inflight (uncapped when the probe reported none);
+  /// with peers, each shard's chunk is its daemon's probed worker count,
+  /// so one chunk saturates the daemon's Executor pool. An explicit value
+  /// >= 1 fixes it. With peers, auto sizing needs the probe: with
+  /// probe_health off (or a daemon predating the health verb) it degrades
+  /// to 1 — set an explicit value there.
   std::size_t steal_chunk = 0;
   /// Probe each endpoint's `health` verb before placement and leave
   /// endpoints that do not answer (or are draining) out of the initial

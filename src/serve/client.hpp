@@ -1,8 +1,10 @@
 // Client side of the moela_serve protocol: connects to a daemon, submits
 // RunRequest batches, and yields RunReports that are bit-identical to the
 // ones a local Executor would have produced (the wire carries hexfloat
-// doubles end to end). Used by `moela_cli --connect` and the serve tests;
-// the protocol itself is documented in serve/protocol.hpp.
+// doubles end to end). Used by api::ShardedExecutor (which runs every
+// `moela_cli --connect` batch), by moela_cli's --list/--metrics/--shutdown
+// verbs, and by the serve tests; the protocol itself is documented in
+// serve/protocol.hpp.
 //
 // One Client is one connection and is NOT thread-safe: calls are issued
 // and awaited sequentially (the daemon multiplexes many clients, not one

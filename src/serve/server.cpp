@@ -59,6 +59,16 @@ Json cache_counters_json(bool enabled, const api::ResultCache* cache) {
   return out;
 }
 
+/// One lifetime counter summed over the Executor's priority classes.
+std::uint64_t sum_class_counters(const api::Executor& executor,
+                                 std::uint64_t api::ClassCounters::*field) {
+  std::uint64_t sum = 0;
+  for (std::size_t c = 0; c < api::kNumClasses; ++c) {
+    sum += executor.counters(static_cast<api::Priority>(c)).*field;
+  }
+  return sum;
+}
+
 }  // namespace
 
 Server::Server(ServeConfig config)
@@ -446,11 +456,11 @@ void Server::handle_line(const std::shared_ptr<Connection>& connection,
 }
 
 std::uint64_t Server::runs_handled() const {
-  std::uint64_t handled = 0;
-  for (std::size_t c = 0; c < api::kNumClasses; ++c) {
-    handled += executor_->counters(static_cast<api::Priority>(c)).completed;
-  }
-  return handled;
+  return sum_class_counters(*executor_, &api::ClassCounters::completed);
+}
+
+std::uint64_t Server::runs_cancelled() const {
+  return sum_class_counters(*executor_, &api::ClassCounters::cancelled);
 }
 
 Json Server::sched_classes_json() const {
@@ -707,11 +717,9 @@ void Server::run_batch(std::shared_ptr<Connection> connection,
   const std::size_t batch_size = futures.size();
   const std::string priority_name = api::priority_name(priority);
   Json reports = Json::array();
-  std::uint64_t cancelled_runs = 0;
   for (auto& future : futures) {
     try {
       api::RunReport report = future.get();
-      if (report.provenance.cancelled) ++cancelled_runs;
       // Echo the class that carried the run — overwriting whatever a
       // cache hit replayed, so the echo always describes THIS request.
       report.provenance.priority = priority_name;
@@ -740,9 +748,6 @@ void Server::run_batch(std::shared_ptr<Connection> connection,
     active_controls_.erase(control_ptr.get());
   }
 
-  if (cancelled_runs > 0) {
-    runs_cancelled_.fetch_add(cancelled_runs, std::memory_order_relaxed);
-  }
   // Release the in-flight slots BEFORE the final response goes out, so a
   // client that reads the response and immediately asks `health` never
   // observes its own finished batch as load.

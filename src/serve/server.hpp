@@ -140,10 +140,9 @@ class Server {
   std::uint64_t runs_handled() const;
 
   /// Runs that finished cancelled — via the cancel verb or the hard-stop
-  /// drain rung (for tests and the health verb).
-  std::uint64_t runs_cancelled() const {
-    return runs_cancelled_.load(std::memory_order_relaxed);
-  }
+  /// drain rung (for tests and the health verb): the Executor's per-class
+  /// cancelled counters.
+  std::uint64_t runs_cancelled() const;
 
   /// Runs queued or running across all connections right now (for tests
   /// and the health verb).
@@ -264,9 +263,6 @@ class Server {
   std::atomic<bool> stop_{false};
   std::atomic<bool> hard_stop_{false};
   std::atomic<bool> watcher_exit_{false};
-  /// Runs whose reports came back provenance.cancelled (the health verb's
-  /// cancellation counter).
-  std::atomic<std::uint64_t> runs_cancelled_{0};
   /// Runs queued or running across ALL connections right now (the `health`
   /// verb's load signal for shard placement).
   std::atomic<std::size_t> inflight_total_{0};

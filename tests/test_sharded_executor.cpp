@@ -58,12 +58,15 @@ std::vector<RunRequest> sweep_requests() {
 }
 
 /// A cache-less daemon on 127.0.0.1:<ephemeral>.
-std::unique_ptr<serve::Server> make_server(std::size_t jobs = 1) {
+std::unique_ptr<serve::Server> make_server(
+    std::size_t jobs = 1,
+    std::size_t max_inflight = serve::ServeConfig{}.max_inflight) {
   serve::ServeConfig config;
   config.host = "127.0.0.1";
   config.port = 0;
   config.jobs = jobs;
   config.use_cache = false;
+  config.max_inflight = max_inflight;
   auto server = std::make_unique<serve::Server>(std::move(config));
   server->start();
   return server;
@@ -96,6 +99,23 @@ void expect_equal_modulo_cache(const RunReport& inline_report,
 std::vector<RunReport> inline_reports(const std::vector<RunRequest>& sweep) {
   Executor direct({.jobs = 2});
   return direct.run_all(sweep);
+}
+
+/// The daemon's moela_requests_total{verb="run"}: wire batches it received.
+/// Drains the daemon first: a verb is counted when its reader thread
+/// finishes dispatch, which may trail the batch's response.
+std::uint64_t run_verbs(serve::Server& server) {
+  server.request_shutdown();
+  server.wait();
+  const util::Json snapshot = server.metrics().snapshot_json();
+  const util::Json* family = snapshot.find("moela_requests_total");
+  if (family == nullptr) return 0;
+  for (const util::Json& series : family->find("series")->as_array()) {
+    if (series.find("labels")->find("verb")->as_string() == "run") {
+      return series.find("value")->as_u64();
+    }
+  }
+  return 0;
 }
 
 // --- the acceptance property ---------------------------------------------
@@ -708,6 +728,36 @@ TEST(ShardedExecutor, ExplicitChunkSizeBatchesTheWire) {
   ASSERT_EQ(merged.size(), reference.size());
   for (std::size_t i = 0; i < merged.size(); ++i) {
     expect_equal_modulo_cache(reference[i], merged[i]);
+  }
+}
+
+TEST(ShardedExecutor, LoneShardSendsWholeBatchUpToItsInflightBound) {
+  // One single-worker daemon: the auto chunk is the whole batch, not the
+  // worker count (six rounds of one), capped at the probed max_inflight.
+  // Past that bound the daemon would reject the batch and the coordinator
+  // retry every request solo; capped, 6 requests go as 4 + 2.
+  const std::vector<RunRequest> sweep = sweep_requests();
+  const std::vector<RunReport> reference = inline_reports(sweep);
+
+  struct Case {
+    std::size_t max_inflight;
+    std::uint64_t run_verbs;
+  };
+  for (const Case c : {Case{serve::ServeConfig{}.max_inflight, 1},
+                       Case{4, 2}}) {
+    SCOPED_TRACE("max_inflight " + std::to_string(c.max_inflight));
+    auto server = make_server(1, c.max_inflight);
+    ShardedExecutorConfig config;
+    config.endpoints = {{"127.0.0.1", server->port()}};
+    ShardedExecutor sharded(config);
+    const std::vector<RunReport> merged = sharded.run_all(sweep);
+
+    ASSERT_EQ(merged.size(), reference.size());
+    for (std::size_t i = 0; i < merged.size(); ++i) {
+      expect_equal_modulo_cache(reference[i], merged[i]);
+    }
+    EXPECT_EQ(sharded.shard_stats()[0].failures, 0u);
+    EXPECT_EQ(run_verbs(*server), c.run_verbs);
   }
 }
 

@@ -15,13 +15,14 @@
 // cancel verb, so remote work halts too instead of burning CPU to
 // completion.
 //
-// With --connect host:port the same sweep flags submit to a remote
-// moela_serve daemon instead of running in-process: requests travel as
-// line-delimited JSON (api/serde.hpp), reports come back bit-identical to
-// a local run, and the daemon's process-lifetime cache answers repeats.
-// Repeating --connect fans the batch across a daemon FLEET through
-// api::ShardedExecutor (--shard-policy picks the placement); merged
-// reports are still bit-identical to an inline run.
+// With --connect host:port the same sweep flags submit to remote
+// moela_serve daemons instead of running in-process. One daemon or a
+// repeated-flag FLEET, the batch goes through api::ShardedExecutor
+// (--shard-policy picks the placement; a lone daemon gets the whole batch
+// in one wire batch): requests travel as line-delimited JSON
+// (api/serde.hpp), merged reports come back bit-identical to a local run,
+// and each daemon's process-lifetime cache answers repeats. So the CLI has
+// two execution paths, the in-process api::Executor and the coordinator.
 //
 //   moela_cli --problem zdt1 --algorithm moela --evals 2000 --seed 1
 //   moela_cli --problem zdt1 --algo moela --algo nsga2 --replicates 3
@@ -64,7 +65,6 @@
 #include "api/run_log.hpp"
 #include "api/sharded_executor.hpp"
 #include "serve/client.hpp"
-#include "serve/protocol.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/timer.hpp"
@@ -87,11 +87,12 @@ struct CliOptions {
   std::string out_path;    // empty = stdout
   std::string trace_path;  // empty = no trace dump
   std::string run_log_path;  // empty = $MOELA_RUN_LOG (via the Executor)
-  /// moela_serve endpoints ("host:port", repeatable). One = plain remote
-  /// submission; several = a sharded batch via api::ShardedExecutor.
-  std::vector<std::string> connect;
+  /// moela_serve endpoints (--connect host:port, repeatable). Non-empty =
+  /// the batch runs remotely through api::ShardedExecutor, whatever the
+  /// count.
+  std::vector<api::ShardEndpoint> connect;
   api::ShardPolicy shard_policy = api::ShardPolicy::kWorkStealing;
-  bool shard_policy_set = false;  // explicit --shard-policy forces sharding
+  bool shard_policy_set = false;  // only to reject it without --connect
   /// Scheduling class for daemon-side admission (--connect only; an
   /// in-process batch is alone in its Executor's queue).
   api::Priority priority = api::Priority::kNormal;
@@ -299,7 +300,13 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
       cli.run_log_path = v;
     } else if (arg == "--connect") {
       if ((v = need_value(i, "--connect")) == nullptr) return std::nullopt;
-      cli.connect.push_back(v);
+      api::ShardEndpoint endpoint;
+      if (!api::parse_shard_endpoint(v, endpoint)) {
+        std::fprintf(stderr, "moela_cli: bad --connect '%s' (want host:port)\n",
+                     v);
+        return std::nullopt;
+      }
+      cli.connect.push_back(std::move(endpoint));
     } else if (arg == "--shard-policy") {
       if ((v = need_value(i, "--shard-policy")) == nullptr) {
         return std::nullopt;
@@ -510,9 +517,9 @@ struct ControlGuard {
   ~ControlGuard() { g_control = nullptr; }
 };
 
-/// The standard stderr progress printer, shared by the in-process and
-/// sharded paths (both notify through api::RunControl with batch-order
-/// indices; the single-daemon path prints from raw protocol events).
+/// The stderr progress printer of both execution paths (the Executor and
+/// the coordinator both notify through api::RunControl with batch-order
+/// indices).
 void install_progress_printer(api::RunControl& control,
                               const std::vector<api::RunRequest>& requests,
                               bool stream_progress) {
@@ -616,27 +623,18 @@ int write_outputs(const CliOptions& cli,
   return cancelled > 0 ? 130 : 0;
 }
 
-/// --metrics: scrape every --connect endpoint's telemetry snapshot (the
-/// metrics verb) and print one JSON line per daemon to stdout, so a quick
-/// fleet health check is `moela_cli --connect a --connect b --metrics | jq`.
-/// Unreachable daemons are reported on stderr and make the exit non-zero,
-/// but do not stop the remaining endpoints from being scraped.
-int show_fleet_metrics(const CliOptions& cli) {
+/// Runs `verb(client, "host:port")` on a fresh connection to each
+/// --connect daemon in turn. A daemon that cannot be reached (or fails the
+/// verb) is reported on stderr without stopping the rest; returns 0 when
+/// every daemon answered, else 1.
+template <typename Verb>
+int for_each_daemon(const CliOptions& cli, Verb verb) {
   int exit_code = 0;
-  for (const std::string& spec : cli.connect) {
-    std::string host;
-    int port = 0;
-    if (!serve::parse_host_port(spec, host, port)) {
-      std::fprintf(stderr, "moela_cli: bad --connect '%s' (want host:port)\n",
-                   spec.c_str());
-      return 2;
-    }
+  for (const api::ShardEndpoint& endpoint : cli.connect) {
     try {
       serve::Client client;
-      client.connect(host, port);
-      util::Json snapshot = client.metrics();
-      snapshot.set("endpoint", host + ":" + std::to_string(port));
-      std::printf("%s\n", snapshot.dump().c_str());
+      client.connect(endpoint.host, endpoint.port);
+      verb(client, endpoint.to_string());
     } catch (const std::exception& e) {
       std::fprintf(stderr, "moela_cli: %s\n", e.what());
       exit_code = 1;
@@ -645,151 +643,43 @@ int show_fleet_metrics(const CliOptions& cli) {
   return exit_code;
 }
 
-/// The single --connect path: same flags, same outputs, but the batch
-/// executes in one moela_serve daemon (whose process-lifetime cache
-/// answers repeats) and the reports travel back as line-delimited JSON.
-int run_remote(const CliOptions& cli) {
-  std::string host;
-  int port = 0;
-  if (!serve::parse_host_port(cli.connect.front(), host, port)) {
-    std::fprintf(stderr, "moela_cli: bad --connect '%s' (want host:port)\n",
-                 cli.connect.front().c_str());
-    return 2;
-  }
-  try {
-    serve::Client client;
-    client.connect(host, port);
-    if (cli.list) return list_remote(client);
-    if (cli.problem.empty() || cli.algorithms.empty()) {
-      if (cli.remote_shutdown) {
-        client.shutdown_server();
-        std::fprintf(stderr, "moela_cli: daemon at %s:%d is draining\n",
-                     host.c_str(), port);
-        return 0;
-      }
-      std::fprintf(stderr, "moela_cli: --problem and --algorithm are "
-                           "required (or --shutdown / --list)\n");
-      return 2;
-    }
-    warn_daemon_side_flags(cli);
-    warn_unknown_knobs(cli);
-
-    const std::vector<api::RunRequest> requests = build_requests(cli);
-    std::fprintf(stderr,
-                 "moela_cli: submitting %zu run(s) to %s:%d (evals<=%zu, "
-                 "seconds<=%.1f)\n",
-                 requests.size(), host.c_str(), port,
-                 cli.run_options.max_evaluations,
-                 cli.run_options.max_seconds);
-
-    // Ctrl-C mid-sweep must not abandon remote work silently: the control
-    // rides into the Client, whose read loop sends the cancel verb for
-    // this batch — the daemon stops our runs, keeps serving everyone
-    // else, and the final response tells us what finished vs. what was
-    // cancelled.
-    api::RunControl control;
-    const ControlGuard guard(control);
-    std::signal(SIGINT, handle_sigint);
-
-    // Missing/mistyped fields from a version-skewed daemon must degrade
-    // the display, never crash the batch — hence the defaulted readers
-    // (util::*_field_or).
-    const bool stream_progress = cli.progress;
-    util::Timer wall;
-    const std::vector<api::RunReport> reports = client.run(
-        requests, stream_progress, [&](const util::Json& event) {
-          const util::Json* hit = event.find("cache_hit");
-          const std::string kind = util::string_field_or(event, "event");
-          if (kind == "finished") {
-            std::fprintf(
-                stderr,
-                "moela_cli: [%llu/%llu] %s done (%llu evals, %.2f s%s)\n",
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "completed", 0)),
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "total", 0)),
-                util::string_field_or(event, "label", "?").c_str(),
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "evaluations", 0)),
-                util::double_field_or(event, "seconds", 0.0),
-                hit != nullptr && hit->is_bool() && hit->as_bool()
-                    ? ", cached"
-                    : "");
-          } else if (kind == "progress" && stream_progress) {
-            std::fprintf(
-                stderr,
-                "moela_cli: [run %llu] %s at %llu/%llu evals (%.2f s)\n",
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "index", 0) + 1),
-                util::string_field_or(event, "algorithm", "?").c_str(),
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "evaluations", 0)),
-                static_cast<unsigned long long>(
-                    util::u64_field_or(event, "max_evaluations", 0)),
-                util::double_field_or(event, "seconds", 0.0));
-          }
-        },
-        &control, cli.priority);
-    const double wall_seconds = wall.elapsed_seconds();
-    const int exit_code = write_outputs(cli, requests, reports, wall_seconds);
-    if (cli.remote_shutdown) {
-      client.shutdown_server();
-      std::fprintf(stderr, "moela_cli: daemon at %s:%d is draining\n",
-                   host.c_str(), port);
-    }
-    return exit_code;
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "moela_cli: %s\n", e.what());
-    return 1;
-  }
+/// --metrics: print every daemon's telemetry snapshot (the metrics verb)
+/// as one JSON line on stdout, so a quick fleet health check is
+/// `moela_cli --connect a --connect b --metrics | jq`.
+int show_fleet_metrics(const CliOptions& cli) {
+  return for_each_daemon(
+      cli, [](serve::Client& client, const std::string& endpoint) {
+        util::Json snapshot = client.metrics();
+        snapshot.set("endpoint", endpoint);
+        std::printf("%s\n", snapshot.dump().c_str());
+      });
 }
 
-/// The multi --connect path: the batch is fanned across a moela_serve
-/// fleet by api::ShardedExecutor and the reports merged back into request
-/// order — bit-identical to an inline or single-daemon run.
-int run_sharded(const CliOptions& cli) {
-  api::ShardedExecutorConfig config;
-  for (const std::string& spec : cli.connect) {
-    api::ShardEndpoint endpoint;
-    if (!api::parse_shard_endpoint(spec, endpoint)) {
-      std::fprintf(stderr, "moela_cli: bad --connect '%s' (want host:port)\n",
-                   spec.c_str());
-      return 2;
-    }
-    config.endpoints.push_back(std::move(endpoint));
-  }
-  config.policy = cli.shard_policy;
-  config.stream_progress = cli.progress;
-  config.priority = cli.priority;
-
-  auto drain_all = [&config]() {
-    for (const api::ShardEndpoint& endpoint : config.endpoints) {
-      try {
-        serve::Client client;
-        client.connect(endpoint.host, endpoint.port);
+/// --shutdown: ask every daemon to drain and exit.
+int drain_fleet(const CliOptions& cli) {
+  return for_each_daemon(
+      cli, [](serve::Client& client, const std::string& endpoint) {
         client.shutdown_server();
         std::fprintf(stderr, "moela_cli: daemon at %s is draining\n",
-                     endpoint.to_string().c_str());
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "moela_cli: %s\n", e.what());
-      }
-    }
-  };
+                     endpoint.c_str());
+      });
+}
 
+/// The --connect path, for one daemon or a fleet: api::ShardedExecutor
+/// fans the batch across the endpoints and merges the reports back into
+/// request order — bit-identical to an inline run. A lone daemon gets the
+/// whole batch as one wire batch (up to its in-flight bound).
+int run_sharded(const CliOptions& cli) {
   try {
     if (cli.list) {
       // The fleet shares one registry by construction; ask the first
       // daemon.
       serve::Client client;
-      client.connect(config.endpoints.front().host,
-                     config.endpoints.front().port);
+      client.connect(cli.connect.front().host, cli.connect.front().port);
       return list_remote(client);
     }
     if (cli.problem.empty() || cli.algorithms.empty()) {
-      if (cli.remote_shutdown) {
-        drain_all();
-        return 0;
-      }
+      if (cli.remote_shutdown) return drain_fleet(cli);
       std::fprintf(stderr, "moela_cli: --problem and --algorithm are "
                            "required (or --shutdown / --list)\n");
       return 2;
@@ -801,11 +691,19 @@ int run_sharded(const CliOptions& cli) {
     std::fprintf(stderr,
                  "moela_cli: sharding %zu run(s) across %zu daemon(s) "
                  "(%s placement, evals<=%zu, seconds<=%.1f)\n",
-                 requests.size(), config.endpoints.size(),
+                 requests.size(), cli.connect.size(),
                  api::shard_policy_name(cli.shard_policy).c_str(),
                  cli.run_options.max_evaluations,
                  cli.run_options.max_seconds);
 
+    api::ShardedExecutorConfig config;
+    config.endpoints = cli.connect;
+    config.policy = cli.shard_policy;
+    config.stream_progress = cli.progress;
+    config.priority = cli.priority;
+    // Checkpoints exist so a peer can resume a dead shard's runs; a lone
+    // daemon has no peer.
+    config.checkpoint = config.endpoints.size() > 1;
     api::ShardedExecutor sharded(config);
     api::RunControl control;
     const ControlGuard guard(control);
@@ -832,7 +730,10 @@ int run_sharded(const CliOptions& cli) {
     }
 
     const int exit_code = write_outputs(cli, requests, reports, wall_seconds);
-    if (cli.remote_shutdown) drain_all();
+    // A failed drain fails a clean batch, but never masks a Ctrl-C's 130.
+    if (cli.remote_shutdown && drain_fleet(cli) != 0 && exit_code == 0) {
+      return 1;
+    }
     return exit_code;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "moela_cli: %s\n", e.what());
@@ -874,13 +775,13 @@ int main(int argc, char** argv) {
                          "in-process batch has no admission queue)\n");
     return 2;
   }
-  if (!cli.connect.empty()) {
-    // One endpoint stays on the plain remote path; several (or an explicit
-    // --shard-policy) go through the sharding coordinator.
-    return cli.connect.size() == 1 && !cli.shard_policy_set
-               ? run_remote(cli)
-               : run_sharded(cli);
+  if (cli.apps.size() > 1 && cli.problem != "noc") {
+    std::fprintf(stderr,
+                 "moela_cli: multiple --app values only apply to the noc "
+                 "problem\n");
+    return 2;
   }
+  if (!cli.connect.empty()) return run_sharded(cli);
   if (cli.list) return list_registry();
   if (cli.problem.empty() || cli.algorithms.empty()) {
     std::fprintf(stderr, "moela_cli: --problem and --algorithm are "
@@ -895,12 +796,6 @@ int main(int argc, char** argv) {
                    algorithm.c_str());
       return 2;
     }
-  }
-  if (!cli.apps.empty() && cli.apps.size() > 1 && cli.problem != "noc") {
-    std::fprintf(stderr,
-                 "moela_cli: multiple --app values only apply to the noc "
-                 "problem\n");
-    return 2;
   }
   warn_unknown_knobs(cli);
 
