@@ -1,5 +1,4 @@
-// Ablation study (DESIGN.md experiment A1) for the design choices Sec. IV
-// argues for: full MOELA vs
+// Ablation study for the design choices Sec. IV argues for: full MOELA vs
 //   * MOELA without the ML guide (random local-search starts forever),
 //   * EA-only (no local search at all — reduces to the decomposition EA),
 //   * local-search-only (no EA stage — closest to a pure ML-guided search).

@@ -5,7 +5,9 @@
 // Metric (Sec. V.C): T_convergence / T_MOELA, where T_convergence is when
 // the competitor reaches its converged PHV (< 0.5% improvement over 5 trace
 // windows) and T_MOELA is when MOELA first reaches that same PHV. The time
-// axis here is objective-evaluation count (see DESIGN.md substitutions).
+// axis is wall-clock seconds, as in the paper (moo::speedup_factor_time),
+// so each algorithm's own overhead counts: the competitors' hypervolume
+// work and MOELA's forest training.
 //
 // Environment knobs: MOELA_BENCH_EVALS, MOELA_BENCH_SMALL, MOELA_BENCH_SEED.
 #include <cstdio>

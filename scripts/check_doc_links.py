@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Fail on dead relative links and dead source paths in the markdown docs.
+"""Fail on dead relative links, dead source paths and dead doc citations.
 
-Two checks:
+Three checks:
 
 * Links. Scans README.md, ROADMAP.md, CHANGES.md, and docs/*.md for
   markdown links of the form [text](target). External targets
@@ -15,6 +15,9 @@ Two checks:
   (`src/util/rng.{hpp,cpp}`) must each exist and a glob
   (`src/api/serde.*`) must match something. CHANGES.md is left out: it
   describes the trees of earlier changes.
+* Doc citations. Scans the C++ sources under src/, bench/ and tools/ for
+  a cited markdown file (`docs/architecture.md` in a comment or a help
+  string). Each must resolve relative to the repository root.
 
 CI runs this so cross-references cannot rot silently.
 """
@@ -29,6 +32,9 @@ SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 CODE_PATH = re.compile(
     r"`((?:src|tools|tests|scripts|bench|examples|perfbench|docs)/[^`\s]*)`")
 BRACES = re.compile(r"\{([^{}]*)\}")
+CITATION = re.compile(r"(?<![\w./-])(\w[\w./-]*\.md)\b")
+SOURCE_DIRS = ("src", "bench", "tools")
+SOURCE_SUFFIXES = {".cpp", ".hpp", ".h"}
 
 
 def link_files():
@@ -43,6 +49,13 @@ def link_files():
 
 def code_path_files():
     return [md for md in link_files() if md.name != "CHANGES.md"]
+
+
+def source_files():
+    for top in SOURCE_DIRS:
+        for path in sorted((ROOT / top).rglob("*")):
+            if path.suffix in SOURCE_SUFFIXES and path.is_file():
+                yield path
 
 
 def expand_braces(path):
@@ -83,11 +96,19 @@ def main() -> int:
             if not code_path_resolves(match.group(1)):
                 dead.append(
                     f"{md.relative_to(ROOT)}: dead path `{match.group(1)}`")
+    for source in source_files():
+        text = source.read_text(encoding="utf-8")
+        for match in CITATION.finditer(text):
+            if not (ROOT / match.group(1)).exists():
+                line = text.count("\n", 0, match.start()) + 1
+                dead.append(f"{source.relative_to(ROOT)}:{line}: dead "
+                            f"citation '{match.group(1)}'")
     for entry in dead:
         print(entry)
     if not dead:
-        print(f"checked {sum(1 for _ in link_files())} file(s): "
-              "all relative links and code paths resolve")
+        print(f"checked {sum(1 for _ in link_files())} doc(s) and "
+              f"{sum(1 for _ in source_files())} source file(s): all "
+              "relative links, code paths and doc citations resolve")
     return 1 if dead else 0
 
 

@@ -25,16 +25,25 @@ namespace {
 
 using util::Json;
 
-/// The work pool shared by the shard threads. `owned[s]` holds shard s's
-/// static round-robin slice; `pending` holds the work-stealing pool and
-/// every requeued index. An index is always in exactly one place: some
-/// owned queue, pending, in flight at a shard, or retired (done/failed).
+/// Lanes (connection + thread) per healthy shard: one chunk executing on
+/// the daemon and the next already waiting in its Executor queue, so the
+/// daemon's workers never idle through a round trip. A deeper queue would
+/// only drain the stealable pool faster.
+constexpr std::size_t kLanesPerShard = 2;
+
+/// The work pool shared by the lanes. `owned[s]` holds shard s's static
+/// round-robin slice; `pending` holds the work-stealing pool and every
+/// requeued index. An index is always in exactly one place: some owned
+/// queue, pending, in flight at a lane, or retired (done/failed).
 struct SharedState {
   util::Mutex mutex;
   util::CondVar work_cv;
   std::deque<std::size_t> pending MOELA_GUARDED_BY(mutex);
   std::vector<std::deque<std::size_t>> owned MOELA_GUARDED_BY(mutex);
   std::size_t owned_total MOELA_GUARDED_BY(mutex) = 0;
+  /// Per shard: a lane lost the daemon, so every lane of that shard stops
+  /// at its next chunk boundary.
+  std::vector<char> retired MOELA_GUARDED_BY(mutex);
   std::size_t inflight MOELA_GUARDED_BY(mutex) = 0;
   std::vector<std::size_t> attempts MOELA_GUARDED_BY(mutex);
   std::vector<std::string> request_error MOELA_GUARDED_BY(mutex);
@@ -60,8 +69,8 @@ struct SharedState {
   /// resumes instead of restarting.
   std::vector<std::shared_ptr<const RunSnapshot>> latest_snapshot
       MOELA_GUARDED_BY(mutex);
-  /// Lock-free by design: shard threads poll it at chunk boundaries and a
-  /// stop must be visible without waiting on whoever holds the mutex.
+  /// Lock-free by design: lanes poll it at chunk boundaries and a stop
+  /// must be visible without waiting on whoever holds the mutex.
   std::atomic<bool> stopped{false};
 };
 
@@ -83,11 +92,28 @@ void pull_from(SharedState& shared, std::deque<std::size_t>& queue,
   }
 }
 
-/// One shard thread: owns one connection, pulls chunks (its static slice
-/// first, then the shared pool), submits them, and merges replies into
-/// `reports` by original index. On a transport failure the shard requeues
-/// its chunk and retires; on a server error answer it requeues and keeps
-/// serving (the connection survived).
+/// Retires `shard` for the rest of the batch: every lane of it stops at its
+/// next chunk boundary, and the rest of its static slice goes to the
+/// shared pool (never attempted, so no attempt count advances). Returns the
+/// number of requests handed back; the slice goes back once, so a second
+/// lane retiring the same shard hands back nothing.
+std::size_t retire_shard(SharedState& shared, std::size_t shard)
+    MOELA_REQUIRES(shared.mutex) {
+  shared.retired[shard] = 1;
+  std::deque<std::size_t>& own = shared.owned[shard];
+  const std::size_t handed_back = own.size();
+  shared.owned_total -= handed_back;
+  for (const std::size_t i : own) shared.pending.push_back(i);
+  own.clear();
+  return handed_back;
+}
+
+/// One lane of a shard: owns one connection, opened when the lane first has
+/// a chunk, pulls chunks (its shard's static slice first, then the shared
+/// pool), submits them, and merges replies into `reports` by original
+/// index. On a transport failure the lane requeues its chunk and retires
+/// the shard; on a server error answer it requeues and keeps serving (the
+/// connection survived).
 void run_shard(const ShardedExecutorConfig& config,
                const ShardEndpoint& endpoint, ShardStats& stats,
                std::size_t shard, std::size_t chunk_size,
@@ -95,8 +121,8 @@ void run_shard(const ShardedExecutorConfig& config,
                const std::vector<RunRequest>& requests,
                std::vector<RunReport>& reports, SharedState& shared,
                RunControl* control) {
-  // Per-endpoint dispatch/requeue tallies; resolved once per shard thread
-  // so the loop below only touches atomics. Telemetry only.
+  // Per-endpoint dispatch/requeue tallies; resolved once per lane so the
+  // loop below only touches atomics. Telemetry only.
   util::Counter* placed = nullptr;
   util::Counter* requeued = nullptr;
   if (config.metrics != nullptr) {
@@ -118,25 +144,6 @@ void run_shard(const ShardedExecutorConfig& config,
   }
 
   serve::Client client;
-  try {
-    client.connect(endpoint.host, endpoint.port);
-  } catch (const std::exception& e) {
-    // Never reached a daemon, so this is not an attempt on any request:
-    // hand the static slice to the surviving shards and retire.
-    util::MutexLock lock(shared.mutex);
-    stats.healthy = false;
-    stats.failures += 1;
-    stats.error = e.what();
-    shared.owned_total -= shared.owned[shard].size();
-    if (requeued != nullptr) requeued->add(shared.owned[shard].size());
-    for (const std::size_t i : shared.owned[shard]) {
-      shared.pending.push_back(i);
-    }
-    shared.owned[shard].clear();
-    shared.work_cv.notify_all();
-    return;
-  }
-
   for (;;) {
     std::vector<std::size_t> chunk;
     {
@@ -149,6 +156,7 @@ void run_shard(const ShardedExecutorConfig& config,
           shared.work_cv.notify_all();
           return;
         }
+        if (shared.retired[shard]) return;  // the other lane lost the daemon
         pull_from(shared, shared.owned[shard], /*owned=*/true, chunk,
                   chunk_size);
         if (chunk.empty() || (chunk.size() < chunk_size &&
@@ -167,6 +175,27 @@ void run_shard(const ShardedExecutorConfig& config,
         // Idle but the batch is not drained: a peer may still fail and
         // requeue its work here.
         shared.work_cv.wait(lock);
+      }
+    }
+
+    if (!client.connected()) {
+      try {
+        client.connect(endpoint.host, endpoint.port);
+      } catch (const std::exception& e) {
+        // Never reached a daemon, so this is not an attempt on any
+        // request: hand the chunk and the static slice to the surviving
+        // shards and retire.
+        util::MutexLock lock(shared.mutex);
+        stats.healthy = false;
+        stats.failures += 1;
+        stats.error = e.what();
+        for (const std::size_t i : chunk) shared.pending.push_back(i);
+        shared.inflight -= chunk.size();
+        const std::size_t handed_back =
+            chunk.size() + retire_shard(shared, shard);
+        if (requeued != nullptr) requeued->add(handed_back);
+        shared.work_cv.notify_all();
+        return;
       }
     }
 
@@ -327,16 +356,9 @@ void run_shard(const ShardedExecutorConfig& config,
           ++handed_back;
         }
       }
-      if (transport) {
-        // Retiring mid-run: the rest of this shard's static slice must go
-        // to the survivors too, or they would wait on it forever. Never
-        // attempted, so those requests' attempt counts do not advance.
-        std::deque<std::size_t>& own = shared.owned[shard];
-        shared.owned_total -= own.size();
-        handed_back += own.size();
-        for (const std::size_t i : own) shared.pending.push_back(i);
-        own.clear();
-      }
+      // Retiring mid-run: the rest of this shard's static slice must go to
+      // the survivors too, or they would wait on it forever.
+      if (transport) handed_back += retire_shard(shared, shard);
       if (requeued != nullptr && handed_back > 0) requeued->add(handed_back);
       shared.inflight -= chunk.size();
       shared.work_cv.notify_all();
@@ -482,10 +504,11 @@ std::vector<RunReport> ShardedExecutor::run_all(
 
   SharedState shared;
   {
-    // No shard thread exists yet, but the capability discipline is
-    // uniform: SharedState is touched under its mutex, always.
+    // No lane exists yet, but the capability discipline is uniform:
+    // SharedState is touched under its mutex, always.
     util::MutexLock lock(shared.mutex);
     shared.owned.resize(config_.endpoints.size());
+    shared.retired.assign(config_.endpoints.size(), 0);
     shared.attempts.assign(n, 0);
     shared.request_error.assign(n, std::string());
     shared.done.assign(n, 0);
@@ -498,8 +521,8 @@ std::vector<RunReport> ShardedExecutor::run_all(
 
   if (!healthy.empty()) {
     {
-      // Placement happens under the mutex; released before the shard
-      // threads spawn (they block on it immediately).
+      // Placement happens under the mutex; released before the lanes
+      // spawn (they block on it immediately).
       util::MutexLock lock(shared.mutex);
       if (config_.policy == ShardPolicy::kRoundRobin) {
         for (std::size_t i = 0; i < n; ++i) {
@@ -537,15 +560,17 @@ std::vector<RunReport> ShardedExecutor::run_all(
       }
     }
 
-    std::vector<std::thread> workers;
-    workers.reserve(healthy.size());
+    std::vector<std::thread> lanes;
+    lanes.reserve(healthy.size() * kLanesPerShard);
     for (const std::size_t s : healthy) {
       // Wire-batch size: an explicit steal_chunk wins. A lone shard gets
       // the whole batch in one wire batch (capped at its probed in-flight
-      // bound): splitting it would only add rounds, each waiting on its
-      // slowest run. With peers, each chunk is the daemon's probed worker
-      // count, so a chunk saturates the daemon's Executor pool while the
-      // rest of the batch stays stealable.
+      // bound, which is per connection, so both lanes may carry a capped
+      // piece at once): splitting it would only add rounds, each waiting
+      // on its slowest run. With peers, each chunk is the daemon's probed
+      // worker count, so a chunk saturates the daemon's Executor pool, the
+      // other lane's chunk waits in its queue, and the rest of the batch
+      // stays stealable.
       std::size_t chunk_size = config_.steal_chunk;
       if (chunk_size == 0 && healthy.size() == 1) {
         const std::size_t cap = probed[s].max_inflight;
@@ -553,18 +578,20 @@ std::vector<RunReport> ShardedExecutor::run_all(
       } else if (chunk_size == 0) {
         chunk_size = std::max<std::size_t>(1, probed[s].jobs);
       }
-      workers.emplace_back([this, s, chunk_size, n, &requests, &reports,
+      for (std::size_t lane = 0; lane < kLanesPerShard; ++lane) {
+        lanes.emplace_back([this, s, chunk_size, n, &requests, &reports,
                             &shared, control] {
-        run_shard(config_, config_.endpoints[s], stats_[s], s, chunk_size,
-                  n, requests, reports, shared, control);
-      });
+          run_shard(config_, config_.endpoints[s], stats_[s], s, chunk_size,
+                    n, requests, reports, shared, control);
+        });
+      }
     }
-    for (auto& worker : workers) worker.join();
+    for (auto& lane : lanes) lane.join();
   }
 
-  // Every shard thread has been joined: from here SharedState is
-  // single-threaded again, but the lock discipline stays uniform (the
-  // locks below are uncontended by construction).
+  // Every lane has been joined: from here SharedState is single-threaded
+  // again, but the lock discipline stays uniform (the locks below are
+  // uncontended by construction).
   std::vector<std::size_t> undone;
   {
     util::MutexLock lock(shared.mutex);

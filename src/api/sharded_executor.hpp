@@ -28,7 +28,7 @@
 //     `stream_progress`, the daemons' snapshot-cadence progress events)
 //     are forwarded to the RunControl passed to run_all, index-tagged in
 //     the merged batch order; shard_stats() reports placement afterwards.
-//   * Cancellation — a RunControl stop crosses the wire: every shard with
+//   * Cancellation — a RunControl stop crosses the wire: every lane with
 //     an in-flight chunk sends the protocol's cancel verb, the daemons
 //     stop those runs at their next budget check, and the merged batch
 //     marks exactly the unfinished runs cancelled (runs completed before
@@ -37,12 +37,17 @@
 //     cancelled chunk answers normally, so cancellation never charges
 //     attempts or retires a shard.
 //
-// Each shard is driven by one thread owning one serve::Client (the Client
-// is single-connection, not thread-safe). Placement policies:
+// Each shard is driven by two lanes, each a thread owning one serve::Client
+// (the Client is single-connection, not thread-safe) that connects when
+// the lane first has a chunk. While one lane's chunk executes, the other
+// lane's chunk already waits in the daemon's queue, so the daemon never
+// idles through a round trip; a one-chunk batch still uses one connection.
+// Both lanes pull from the same shard slice and retire together when either
+// loses the daemon. Placement policies:
 //   * kRoundRobin   — request i goes to healthy shard (i mod k), decided
 //                     up front; shards only pick up requeued work from
 //                     failed peers.
-//   * kWorkStealing — shards pull `steal_chunk` requests from one shared
+//   * kWorkStealing — lanes pull `steal_chunk` requests from one shared
 //                     queue as their previous replies arrive, so a fast
 //                     (or cache-warm) daemon naturally serves more of the
 //                     batch.
@@ -99,15 +104,17 @@ struct ShardedExecutorConfig {
   /// any one member), and transport failures that requeue never-started
   /// requests do not count either.
   std::size_t max_attempts = 3;
-  /// Requests submitted per wire batch (every policy pulls this many at a
-  /// time). 0 (the default) sizes chunks from the health probe: a lone
-  /// healthy shard takes the whole batch in one wire batch, capped at the
-  /// daemon's probed max_inflight (uncapped when the probe reported none);
-  /// with peers, each shard's chunk is its daemon's probed worker count,
-  /// so one chunk saturates the daemon's Executor pool. An explicit value
-  /// >= 1 fixes it. With peers, auto sizing needs the probe: with
-  /// probe_health off (or a daemon predating the health verb) it degrades
-  /// to 1 — set an explicit value there.
+  /// Requests submitted per wire batch (every lane pulls this many at a
+  /// time, and each shard has two lanes in flight). 0 (the default) sizes
+  /// chunks from the health probe: a lone healthy shard takes the whole
+  /// batch in one wire batch, capped at the daemon's probed max_inflight
+  /// (uncapped when the probe reported none; the bound is per connection,
+  /// so the two lanes may each carry a capped piece); with peers, each
+  /// shard's chunk is its daemon's probed worker count, so one chunk
+  /// saturates the daemon's Executor pool and the other lane's waits in
+  /// its queue. An explicit value >= 1 fixes it. With peers, auto sizing
+  /// needs the probe: with probe_health off (or a daemon predating the
+  /// health verb) it degrades to 1 — set an explicit value there.
   std::size_t steal_chunk = 0;
   /// Probe each endpoint's `health` verb before placement and leave
   /// endpoints that do not answer (or are draining) out of the initial

@@ -1,10 +1,10 @@
 // Evaluation bookkeeping shared by every algorithm in the library.
 //
-// The number of full objective evaluations is the experiment time axis
-// (DESIGN.md, "Key design decisions"): EvalContext counts them, maintains
-// the all-time Pareto archive, and records archive snapshots at a fixed
-// evaluation cadence so the harness can compute anytime-PHV traces after the
-// fact with a globally consistent normalization.
+// The number of full objective evaluations is the experiment time axis:
+// EvalContext counts them, maintains the all-time Pareto archive, and
+// records archive snapshots at a fixed evaluation cadence so the harness can
+// compute anytime-PHV traces after the fact with a globally consistent
+// normalization.
 #pragma once
 
 #include <atomic>

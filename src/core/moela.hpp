@@ -16,7 +16,7 @@
 //     sub-problems.
 //
 // The ablation switches (use_ml_guide / use_local_search / use_ea) reduce
-// MOELA to its components for the A1 ablation study in DESIGN.md.
+// MOELA to its components for the ablation study (bench/bench_ablation.cpp).
 #pragma once
 
 #include <algorithm>

@@ -122,7 +122,7 @@ RunConfig tuned_run_config(const PaperBenchConfig& config) {
   // Forest sizing tuned for the NoC feature width (~250 features) and a
   // retrain cadence of every 3 iterations so the training wall-time stays a
   // small fraction of evaluation cost (the guide's value is wall-clock
-  // efficiency; see EXPERIMENTS.md notes).
+  // efficiency).
   run.moela.train_capacity = 2000;
   run.moela.train_interval = 3;
   run.moela.forest.num_trees = 6;

@@ -324,8 +324,7 @@ NocDesign DesignOps::crossover(const NocDesign& a, const NocDesign& b,
   // the parents' union (then the global pool if budgets demand), WITHOUT
   // preferring links common to both parents. Preferring common links makes
   // the crossover memetic-strength and collapses the evolutionary/local-
-  // search trade-off the paper studies (see DESIGN.md, "operator
-  // calibration").
+  // search trade-off the paper studies.
   child.links = build_links(
       {merged(sa.planar, sb.planar), spec.planar_candidates()},
       {merged(sa.vertical, sb.vertical), spec.vertical_candidates()},

@@ -5,16 +5,16 @@
 //  * exact planar/vertical link budgets, links geometrically legal,
 //  * router degree <= max, network connected.
 //
-// Key operator choices (documented per DESIGN.md):
+// Key operator choices:
 //  * random link placement builds a budgeted randomized spanning tree
 //    (Kruskal over shuffled candidate pools) and fills the remaining budget
 //    randomly — connectivity by construction;
 //  * the placement crossover is cycle crossover (CX), which provably yields
 //    a permutation whose every position is inherited from one feasible
 //    parent, so the LLC-on-edge constraint is preserved for free;
-//  * the link crossover runs the same budgeted Kruskal but draws first from
-//    the parents' common links, then from either parent, then (only if
-//    needed) from the global candidate pool.
+//  * the link crossover runs the same budgeted Kruskal over the union of
+//    the parents' links, then (only if needed) the global candidate pool,
+//    without preferring links common to both parents.
 #pragma once
 
 #include <vector>

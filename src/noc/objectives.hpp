@@ -19,8 +19,8 @@ namespace moela::noc {
 
 /// Electrical and thermal constants. Defaults are representative values for
 /// a 32 nm-class 3D stack (the paper obtains them from McPAT/GPUWattch and
-/// 3D-ICE; see DESIGN.md's substitution notes). Only relative magnitudes
-/// matter for the optimization landscape.
+/// 3D-ICE; see docs/reproduction.md, "Substitutions"). Only relative
+/// magnitudes matter for the optimization landscape.
 struct NocObjectiveParams {
   /// r in Eq. (3): router pipeline stages (cycles per hop).
   double router_stages = 4.0;

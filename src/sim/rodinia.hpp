@@ -1,6 +1,6 @@
 // Synthetic Rodinia-like workload profiles — the substitution for the
 // paper's gem5-gpu + GPGPU-Sim traffic profiling and McPAT/GPUWattch power
-// profiling (see DESIGN.md, "Substitutions").
+// profiling (see docs/reproduction.md, "Substitutions").
 //
 // Each of the seven applications used in Sec. V (BP, BFS, GAU, HOT, PF, SC,
 // SRAD) is modeled as a deterministic traffic archetype over the platform's

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <string>
+
 #include "noc/constraints.hpp"
+#include "noc/io.hpp"
 #include "util/rng.hpp"
 
 namespace moela::noc {
@@ -188,6 +193,63 @@ TEST(Generator, CrossoverOfIdenticalParentsKeepsPlacement) {
   const NocDesign child = ops.crossover(a, a, rng);
   EXPECT_EQ(child.placement, a.placement);
   EXPECT_EQ(child.links, a.links);  // all links are "common"
+}
+
+// Byte pins for the variation operators themselves, which whole-run pins
+// see only through everything else a run does. Per platform, a seeded
+// chain of random_neighbor, crossover and mutate calls is folded into one
+// FNV-1a digest of the designs' v1 text form (placement and links), and
+// the generator's next output after the chain is pinned too, so a rewrite
+// that consumes a different number of draws fails even where the designs
+// agree. The expected values were produced by the straightforward
+// operators; any speedup of them must reproduce these bit for bit.
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string hex64(std::uint64_t v) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buffer;
+}
+
+TEST(GeneratorBytePins, SeededOperatorChain) {
+  struct Pin {
+    const char* platform;
+    PlatformSpec (*make)();
+    const char* digest;
+    const char* next_draw;
+  };
+  const Pin pins[] = {
+      {"paper_4x4x4", &PlatformSpec::paper_4x4x4, "1d54ff51cd8f71b1",
+       "afdc0acc669bdcb9"},
+      {"small_3x3x3", &PlatformSpec::small_3x3x3, "0a6296c4e0d5ab11",
+       "2ac95919b5d74b85"},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(pin.platform);
+    const PlatformSpec spec = pin.make();
+    DesignOps ops(spec);
+    util::Rng rng(4242);
+    NocDesign current = ops.random_design(rng);
+    NocDesign mate = ops.random_design(rng);
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    for (int step = 0; step < 40; ++step) {
+      current = ops.random_neighbor(current, rng);
+      digest = fnv1a(digest, design_to_string(current));
+      const NocDesign child = ops.crossover(current, mate, rng);
+      digest = fnv1a(digest, design_to_string(child));
+      mate = ops.mutate(child, rng);
+      digest = fnv1a(digest, design_to_string(mate));
+    }
+    EXPECT_EQ(hex64(digest), pin.digest);
+    EXPECT_EQ(hex64(rng()), pin.next_draw);
+  }
 }
 
 }  // namespace

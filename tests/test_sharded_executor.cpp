@@ -319,6 +319,59 @@ TEST(ShardedExecutor, WeightedPlacementCountsQueuedRunsOnce) {
   EXPECT_EQ(sharded.shard_stats()[1].completed, 3u);
 }
 
+TEST(ShardedExecutor, EachDaemonHoldsItsNextChunkQueued) {
+  // Two single-worker daemons, work stealing, chunks of one (the probed
+  // worker count): six chunks. Each shard's second lane sends its chunk
+  // while the first lane's chunk still runs, so while the batch is in
+  // flight some daemon must report one run executing and one queued —
+  // with a single lane per shard the queue stays empty.
+  std::vector<RunRequest> sweep;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    RunRequest request = zdt1_request("moela", seed);
+    request.options.max_evaluations = 2000;
+    sweep.push_back(std::move(request));
+  }
+  const std::vector<RunReport> reference = inline_reports(sweep);
+
+  auto a = make_server(1);
+  auto b = make_server(1);
+  ShardedExecutorConfig config;
+  config.endpoints = {{"127.0.0.1", a->port()}, {"127.0.0.1", b->port()}};
+  config.policy = ShardPolicy::kWorkStealing;
+  ShardedExecutor sharded(config);
+  auto merged_future = std::async(std::launch::async,
+                                  [&] { return sharded.run_all(sweep); });
+
+  serve::Client observe_a;
+  serve::Client observe_b;
+  observe_a.connect("127.0.0.1", a->port());
+  observe_b.connect("127.0.0.1", b->port());
+  bool pipelined = false;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!pipelined && std::chrono::steady_clock::now() < deadline &&
+         merged_future.wait_for(std::chrono::seconds(0)) !=
+             std::future_status::ready) {
+    for (serve::Client* observer : {&observe_a, &observe_b}) {
+      const util::Json health = observer->health();
+      if (util::u64_field_or(health, "running", 0) == 1 &&
+          util::u64_field_or(health, "queued", 0) == 1) {
+        pipelined = true;
+      }
+    }
+  }
+  const std::vector<RunReport> merged = merged_future.get();
+  EXPECT_TRUE(pipelined) << "no daemon ever held a queued chunk";
+
+  ASSERT_EQ(merged.size(), reference.size());
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    expect_equal_modulo_cache(reference[i], merged[i]);
+  }
+  EXPECT_EQ(sharded.shard_stats()[0].completed +
+                sharded.shard_stats()[1].completed,
+            sweep.size());
+}
+
 // --- fault paths ----------------------------------------------------------
 
 TEST(ShardedExecutor, DeadShardSliceRetriesOntoSurvivor) {
@@ -437,6 +490,67 @@ TEST(ShardedExecutor, DaemonKilledMidRunResumesOnSurvivorBitIdentical) {
   probe.connect("127.0.0.1", survivor->port());
   const util::Json health = probe.health();
   EXPECT_GE(health.find("runs_resumed")->as_u64(), 1u);
+}
+
+TEST(ShardedExecutor, DaemonKilledHoldingQueuedChunkResumesBitIdentical) {
+  // A single-worker victim holds two chunks, one executing and one waiting
+  // in its queue, when it is SIGKILLed at the first snapshot-cadence event
+  // of a victim-owned request. The executing run resumes on the survivor
+  // from its snapshot, the queued one (never started) is requeued without
+  // an attempt charged, and every report matches the inline run.
+  std::vector<RunRequest> sweep;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    RunRequest request = zdt1_request("moela", seed);
+    request.options.max_evaluations = 2400;
+    request.options.snapshot_interval = 200;
+    sweep.push_back(std::move(request));
+  }
+  const std::vector<RunReport> reference = inline_reports(sweep);
+
+  auto survivor = make_server(1);
+  fault::DaemonProcess victim({"--no-cache", "--jobs", "1"});
+  ShardedExecutorConfig config;
+  config.endpoints = {{"127.0.0.1", survivor->port()},
+                      {"127.0.0.1", victim.port()}};
+  config.policy = ShardPolicy::kRoundRobin;  // victim owns the odd indices
+  config.stream_progress = true;
+  ShardedExecutor sharded(config);
+
+  fault::FaultTrigger kill_trigger(1);
+  std::uint64_t victim_queued = 0;
+  RunControl control;
+  control.on_progress([&](const RunProgress& progress) {
+    if (progress.finished || progress.batch_index % 2 == 0 ||
+        !kill_trigger.fire()) {
+      return;
+    }
+    // The kill waits (bounded) until the victim reports its queued chunk.
+    serve::Client observer;
+    observer.connect("127.0.0.1", victim.port());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while ((victim_queued = util::u64_field_or(observer.health(), "queued",
+                                               0)) == 0 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    victim.kill();
+  });
+  const std::vector<RunReport> merged = sharded.run_all(sweep, &control);
+  EXPECT_TRUE(kill_trigger.fired());
+  EXPECT_FALSE(victim.alive());
+  EXPECT_EQ(victim_queued, 1u);
+
+  ASSERT_EQ(merged.size(), reference.size());
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    EXPECT_EQ(merged[i].provenance.seed, sweep[i].options.seed);
+    expect_equal_modulo_cache(reference[i], merged[i]);
+    EXPECT_FALSE(merged[i].provenance.cancelled) << i;
+  }
+  const std::vector<ShardStats>& stats = sharded.shard_stats();
+  EXPECT_GE(stats[1].failures, 1u);
+  EXPECT_GE(stats[0].resumed, 1u);
+  EXPECT_EQ(stats[0].completed, sweep.size());
 }
 
 TEST(ShardedExecutor, TransportDeathBeforeStartDoesNotChargeAttempts) {
