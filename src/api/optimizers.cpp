@@ -1,10 +1,10 @@
 // Built-in Optimizer adapters: the algorithm templates of core/ and
 // baselines/, instantiated once with P = AnyProblem and adapted to the
-// uniform Optimizer interface. This file READS the knob keys; the
-// deprecated-shim mapping in exp/experiment.cpp (to_run_options) WRITES
-// them. Unknown keys are ignored by design, so keep the two in sync — the
-// ShimEquivalence test pins every mapped key with a non-default value and
-// fails on any drift.
+// uniform Optimizer interface. This file READS the knob keys; callers
+// write them into RunOptions::knobs (moela_cli's --knob, the paper benches'
+// exp::tuned_run_options). Unknown keys are ignored at run time by design,
+// so every get_or() key below is also declared to the registry, whose
+// unknown_knob_keys() flags a caller's misspelled key.
 //
 // Knob keys recognized here (all optional; fallbacks are the library
 // defaults, population sizing comes from RunOptions):
@@ -115,8 +115,7 @@ class MoelaOptimizer final : public Optimizer {
             : core::GuideMode::kFinalValue;
     // The registered variant fixes which component a knob can still switch
     // OFF (never back on): "moela" honors all three knobs, the ablation
-    // variants pin their component regardless — the same semantics the old
-    // enum dispatch gave RunConfig.moela's switches.
+    // variants pin their component regardless.
     c.use_ml_guide = k.get_or("moela.use_ml_guide", true) && ml_guide_;
     c.use_local_search =
         k.get_or("moela.use_local_search", true) && local_search_;

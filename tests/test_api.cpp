@@ -1,7 +1,6 @@
 // Tests for the runtime-composition layer (src/api/): the type-erased
 // AnyProblem, the Optimizer interface, the string-keyed registry, the knob
-// bag, the problem factory, and the equivalence between the deprecated
-// exp::run_algorithm shim and the registry path.
+// bag and the problem factory.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +13,6 @@
 #include "api/optimizer.hpp"
 #include "api/problems.hpp"
 #include "api/registry.hpp"
-#include "exp/experiment.hpp"
 #include "problems/dtlz.hpp"
 #include "problems/zdt.hpp"
 #include "util/rng.hpp"
@@ -218,8 +216,7 @@ TEST(ProblemFactory, HonorsInstanceOptions) {
 
 TEST(Registry, AblationSwitchKnobsMatchTheirVariants) {
   // Turning a component off via knob on "moela" must reproduce the
-  // dedicated ablation variant (the old enum dispatch honored
-  // RunConfig.moela's switches the same way).
+  // dedicated ablation variant.
   RunOptions options = small_options();
   options.knobs.set("moela.use_ea", 0.0);
   const RunReport via_knob = registry().create("moela", zdt1())->run(options);
@@ -232,77 +229,6 @@ TEST(Registry, AblationSwitchKnobsMatchTheirVariants) {
   const RunReport pinned =
       registry().create("moela-ls-only", zdt1())->run(force_on);
   EXPECT_EQ(pinned.final_objectives, via_variant.final_objectives);
-}
-
-// --- Shim equivalence -----------------------------------------------------
-
-TEST(ShimEquivalence, RunAlgorithmMatchesRegistryPath) {
-  // Every field to_run_options() maps is set to a NON-default value: the
-  // knob keys are string literals on both sides (exp/experiment.cpp writes
-  // them, api/optimizers.cpp reads them), and a renamed or mistyped key
-  // silently falls back to the library default — which this test then
-  // catches as a result divergence.
-  exp::RunConfig config;
-  config.max_evaluations = 800;
-  config.snapshot_interval = 200;
-  config.seed = 11;
-  config.population_size = 12;
-  config.n_local = 3;
-  config.moela.iter_early = 3;
-  config.moela.delta = 0.8;
-  config.moela.neighborhood_size = 5;
-  config.moela.max_generations = 900;
-  config.moela.train_capacity = 900;
-  config.moela.train_interval = 2;
-  config.moela.max_replacements = 1;
-  config.moela.guide_mode = core::GuideMode::kImprovement;
-  config.moela.local_search.patience = 4;
-  config.moela.local_search.max_steps = 12;
-  config.moela.local_search.max_evaluations = 30;
-  config.moela.forest.num_trees = 4;
-  config.moela.forest.max_features = 3;
-  config.moela.forest.max_depth = 5;
-  config.moela.forest.min_samples_leaf = 3;
-  config.moela.forest.min_samples_split = 5;
-  config.moela.forest.subsample = 0.8;
-  config.moos.max_iterations = 900;
-  config.moos.temperature = 0.2;
-  config.moos.gain_ema = 0.4;
-  config.moos.search.patience = 3;
-  config.moos.search.max_steps = 7;
-  config.moos.search.max_evaluations = 25;
-  config.stage.max_iterations = 900;
-  config.stage.iter_early = 3;
-  config.stage.meta_candidates = 16;
-  config.stage.train_capacity = 800;
-  config.stage.forest.num_trees = 4;
-  config.stage.forest.max_features = 3;
-  config.stage.forest.max_depth = 5;
-  config.stage.forest.min_samples_leaf = 3;
-  config.stage.forest.min_samples_split = 5;
-  config.stage.forest.subsample = 0.8;
-  config.stage.search.max_steps = 6;
-  config.stage.search.neighbors_per_step = 3;
-
-  const Zdt problem(ZdtVariant::kZdt1, 10);
-  for (exp::Algorithm a :
-       {exp::Algorithm::kMoela, exp::Algorithm::kMoeaD, exp::Algorithm::kMoos,
-        exp::Algorithm::kMooStage, exp::Algorithm::kNsga2}) {
-    const auto shim = exp::run_algorithm(a, problem, config);
-    const RunReport direct =
-        registry()
-            .create(exp::algorithm_key(a), AnyProblem(problem))
-            ->run(exp::to_run_options(config));
-    EXPECT_EQ(shim.final_front, direct.final_front)
-        << exp::algorithm_name(a);
-    EXPECT_EQ(shim.final_objectives, direct.final_objectives)
-        << exp::algorithm_name(a);
-    EXPECT_EQ(shim.evaluations, direct.evaluations) << exp::algorithm_name(a);
-    ASSERT_EQ(shim.snapshots.size(), direct.snapshots.size());
-    for (std::size_t i = 0; i < shim.snapshots.size(); ++i) {
-      EXPECT_EQ(shim.snapshots[i].front, direct.snapshots[i].front);
-    }
-  }
 }
 
 }  // namespace

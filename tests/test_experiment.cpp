@@ -3,10 +3,12 @@
 #include <set>
 #include <string>
 
+#include "api/any_problem.hpp"
+#include "api/optimizer.hpp"
+#include "api/registry.hpp"
 #include "exp/analysis.hpp"
 #include "exp/edp_selection.hpp"
 #include "noc/generator.hpp"
-#include "exp/experiment.hpp"
 #include "problems/zdt.hpp"
 
 namespace moela::exp {
@@ -15,43 +17,49 @@ namespace {
 using problems::Zdt;
 using problems::ZdtVariant;
 
-RunConfig small_config() {
-  RunConfig c;
-  c.max_evaluations = 1500;
-  c.snapshot_interval = 250;
-  c.seed = 3;
-  c.population_size = 16;
-  c.n_local = 3;
-  c.moela.neighborhood_size = 6;
-  c.moela.forest.num_trees = 6;
-  c.moela.forest.max_depth = 6;
-  c.moela.local_search.max_steps = 10;
-  c.moela.local_search.patience = 5;
-  c.moela.local_search.max_evaluations = 40;
-  c.moos.search.max_steps = 8;
-  c.moos.search.patience = 4;
-  c.moos.search.max_evaluations = 32;
-  c.stage.search.max_steps = 8;
-  c.stage.search.neighbors_per_step = 4;
-  c.stage.forest.num_trees = 6;
-  c.stage.forest.max_depth = 6;
-  return c;
+api::RunOptions small_options() {
+  api::RunOptions o;
+  o.max_evaluations = 1500;
+  o.snapshot_interval = 250;
+  o.seed = 3;
+  o.population_size = 16;
+  o.n_local = 3;
+  o.knobs.set("moela.neighborhood_size", 6)
+      .set("moela.forest.trees", 6)
+      .set("moela.forest.max_depth", 6)
+      .set("moela.ls.max_steps", 10)
+      .set("moela.ls.patience", 5)
+      .set("moela.ls.max_evals", 40)
+      .set("moos.ls.max_steps", 8)
+      .set("moos.ls.patience", 4)
+      .set("moos.ls.max_evals", 32)
+      .set("stage.ls.max_steps", 8)
+      .set("stage.ls.neighbors_per_step", 4)
+      .set("stage.forest.trees", 6)
+      .set("stage.forest.max_depth", 6);
+  return o;
+}
+
+api::RunReport run_zdt1(const std::string& algorithm,
+                        const api::RunOptions& options) {
+  return api::registry()
+      .create(algorithm, api::AnyProblem(Zdt(ZdtVariant::kZdt1, 10)))
+      ->run(options);
 }
 
 TEST(Runner, EveryAlgorithmProducesAWellFormedResult) {
-  Zdt problem(ZdtVariant::kZdt1, 10);
-  const auto config = small_config();
-  for (Algorithm a :
-       {Algorithm::kMoela, Algorithm::kMoeaD, Algorithm::kMoos,
-        Algorithm::kMooStage, Algorithm::kNsga2, Algorithm::kMoelaNoMlGuide,
-        Algorithm::kMoelaEaOnly, Algorithm::kMoelaLocalOnly}) {
-    const auto result = run_algorithm(a, problem, config);
-    EXPECT_EQ(result.algorithm, a);
-    EXPECT_GE(result.evaluations, config.max_evaluations);
-    EXPECT_FALSE(result.snapshots.empty());
-    EXPECT_FALSE(result.final_front.empty());
-    EXPECT_FALSE(result.final_designs.empty()) << algorithm_name(a);
-    EXPECT_EQ(result.final_designs.size(), result.final_objectives.size());
+  const auto options = small_options();
+  for (const std::string& key : api::registry().names()) {
+    const auto optimizer = api::registry().create(
+        key, api::AnyProblem(Zdt(ZdtVariant::kZdt1, 10)));
+    const api::RunReport result = optimizer->run(options);
+    EXPECT_EQ(result.algorithm, optimizer->name()) << key;
+    EXPECT_GE(result.evaluations, options.max_evaluations) << key;
+    EXPECT_FALSE(result.snapshots.empty()) << key;
+    EXPECT_FALSE(result.final_front.empty()) << key;
+    EXPECT_FALSE(result.final_designs.empty()) << key;
+    EXPECT_EQ(result.final_designs.size(), result.final_objectives.size())
+        << key;
     // Snapshot evaluations must be non-decreasing.
     for (std::size_t i = 1; i < result.snapshots.size(); ++i) {
       EXPECT_GE(result.snapshots[i].evaluations,
@@ -62,45 +70,13 @@ TEST(Runner, EveryAlgorithmProducesAWellFormedResult) {
 
 TEST(Runner, AlgorithmNamesAreUnique) {
   std::set<std::string> names;
-  for (Algorithm a :
-       {Algorithm::kMoela, Algorithm::kMoeaD, Algorithm::kMoos,
-        Algorithm::kMooStage, Algorithm::kNsga2, Algorithm::kMoelaNoMlGuide,
-        Algorithm::kMoelaEaOnly, Algorithm::kMoelaLocalOnly}) {
-    names.insert(algorithm_name(a));
+  for (const std::string& key : api::registry().names()) {
+    names.insert(api::registry()
+                     .create(key, api::AnyProblem(Zdt(ZdtVariant::kZdt1, 10)))
+                     ->name());
   }
+  EXPECT_EQ(names.size(), api::registry().names().size());
   EXPECT_EQ(names.size(), 8u);
-}
-
-TEST(Runner, ParseAlgorithmRoundTripsEveryEnumerator) {
-  for (Algorithm a :
-       {Algorithm::kMoela, Algorithm::kMoeaD, Algorithm::kMoos,
-        Algorithm::kMooStage, Algorithm::kNsga2, Algorithm::kMoelaNoMlGuide,
-        Algorithm::kMoelaEaOnly, Algorithm::kMoelaLocalOnly}) {
-    // Display name and registry key both parse back to the enumerator, so
-    // the enum and its names cannot drift silently.
-    const auto from_name = parse_algorithm(algorithm_name(a));
-    ASSERT_TRUE(from_name.has_value()) << algorithm_name(a);
-    EXPECT_EQ(*from_name, a);
-    const auto from_key = parse_algorithm(algorithm_key(a));
-    ASSERT_TRUE(from_key.has_value()) << algorithm_key(a);
-    EXPECT_EQ(*from_key, a);
-  }
-}
-
-TEST(Runner, ParseAlgorithmRejectsUnknownNames) {
-  EXPECT_FALSE(parse_algorithm("").has_value());
-  EXPECT_FALSE(parse_algorithm("moela2").has_value());
-  EXPECT_FALSE(parse_algorithm("MOELA ").has_value());
-}
-
-TEST(Runner, EveryAlgorithmKeyIsRegistered) {
-  for (Algorithm a :
-       {Algorithm::kMoela, Algorithm::kMoeaD, Algorithm::kMoos,
-        Algorithm::kMooStage, Algorithm::kNsga2, Algorithm::kMoelaNoMlGuide,
-        Algorithm::kMoelaEaOnly, Algorithm::kMoelaLocalOnly}) {
-    EXPECT_TRUE(api::registry().contains(algorithm_key(a)))
-        << algorithm_key(a);
-  }
 }
 
 TEST(Analysis, GlobalBoundsCoverAllPoints) {
@@ -117,8 +93,7 @@ TEST(Analysis, EmptySnapshotsThrow) {
 }
 
 TEST(Analysis, TracesAreMonotoneForGrowingArchives) {
-  Zdt problem(ZdtVariant::kZdt1, 10);
-  const auto result = run_algorithm(Algorithm::kMoela, problem, small_config());
+  const auto result = run_zdt1("moela", small_options());
   SnapshotSet runs{result.snapshots};
   const auto bounds = global_bounds(runs);
   const auto traces = phv_traces(runs, bounds);
@@ -208,11 +183,10 @@ TEST(EdpSelection, ScorePopulationScoresEveryDesign) {
 TEST(Metrics, SpeedupBetweenRealRuns) {
   // A fast run (MOELA) and a handicapped run (MOEA/D at the same budget) on
   // ZDT1: the speedup metric must be computable and positive.
-  Zdt problem(ZdtVariant::kZdt1, 10);
-  auto config = small_config();
-  config.max_evaluations = 2500;
-  const auto moela_run = run_algorithm(Algorithm::kMoela, problem, config);
-  const auto moead_run = run_algorithm(Algorithm::kMoeaD, problem, config);
+  auto options = small_options();
+  options.max_evaluations = 2500;
+  const auto moela_run = run_zdt1("moela", options);
+  const auto moead_run = run_zdt1("moead", options);
   SnapshotSet runs{moela_run.snapshots, moead_run.snapshots};
   const auto bounds = global_bounds(runs);
   const auto traces = phv_traces(runs, bounds);

@@ -7,10 +7,12 @@
 #include <string>
 #include <vector>
 
+#include "api/any_problem.hpp"
+#include "api/optimizer.hpp"
+#include "api/registry.hpp"
 #include "core/eval_context.hpp"
 #include "core/moela.hpp"
 #include "exp/analysis.hpp"
-#include "exp/experiment.hpp"
 #include "noc/constraints.hpp"
 #include "noc/io.hpp"
 #include "noc/problem.hpp"
@@ -134,25 +136,31 @@ TEST(Integration, MoelaImprovesOverInitialPopulation) {
 
 TEST(Integration, FullRunnerOnNocProblem) {
   const auto problem = small_problem(4);
-  exp::RunConfig config;
-  config.max_evaluations = 1000;
-  config.snapshot_interval = 200;
-  config.population_size = 12;
-  config.n_local = 2;
-  config.moela = small_config();
-  config.moos.search.max_steps = 8;
-  config.moos.search.patience = 4;
-  config.moos.search.max_evaluations = 24;
-  config.stage.search.max_steps = 8;
-  config.stage.search.neighbors_per_step = 3;
-  config.stage.forest.num_trees = 4;
-  config.stage.forest.max_depth = 6;
-  for (exp::Algorithm a : {exp::Algorithm::kMoela, exp::Algorithm::kMoeaD,
-                           exp::Algorithm::kMoos}) {
-    const auto result = exp::run_algorithm(a, problem, config);
-    EXPECT_FALSE(result.final_designs.empty());
-    for (const auto& d : result.final_designs) {
-      EXPECT_TRUE(noc::is_feasible(problem.spec(), d));
+  api::RunOptions options;
+  options.max_evaluations = 1000;
+  options.snapshot_interval = 200;
+  options.population_size = 12;
+  options.n_local = 2;
+  options.knobs.set("moela.neighborhood_size", 5)
+      .set("moela.train_capacity", 1000)
+      .set("moela.forest.trees", 6)
+      .set("moela.forest.max_depth", 8)
+      .set("moela.forest.max_features", 16)
+      .set("moela.ls.max_steps", 10)
+      .set("moela.ls.patience", 5)
+      .set("moela.ls.max_evals", 40)
+      .set("moos.ls.max_steps", 8)
+      .set("moos.ls.patience", 4)
+      .set("moos.ls.max_evals", 24);
+  for (const std::string algorithm : {"moela", "moead", "moos"}) {
+    const api::RunReport report =
+        api::registry()
+            .create(algorithm, api::AnyProblem(problem))
+            ->run(options);
+    const auto designs = report.designs_as<noc::NocDesign>();
+    EXPECT_FALSE(designs.empty()) << algorithm;
+    for (const auto& d : designs) {
+      EXPECT_TRUE(noc::is_feasible(problem.spec(), d)) << algorithm;
     }
   }
 }
