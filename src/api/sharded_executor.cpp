@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <future>
 #include <memory>
 #include <stdexcept>
 #include <thread>
 #include <utility>
 
-#include "api/executor.hpp"
 #include "api/snapshot.hpp"
 // The documented exception to the layer DAG (docs/architecture.md): the
 // sharding coordinator lives in api/ but acts as a serve/ protocol client.
@@ -601,49 +599,16 @@ std::vector<RunReport> ShardedExecutor::run_all(
   }
   if (undone.empty()) return reports;
 
-  if (config_.local_fallback) {
-    // Note: the fallback Executor tags its progress events with indices
-    // into the fallback sub-batch, not the merged batch.
-    std::vector<RunRequest> rest;
-    rest.reserve(undone.size());
-    for (const std::size_t i : undone) rest.push_back(requests[i]);
-    std::vector<std::future<RunReport>> futures;
-    {
-      Executor local({.jobs = config_.local_jobs, .cache = config_.cache});
-      futures = local.submit(std::move(rest), control).futures;
-      // Wait (without consuming) and join the pool before get(): a
-      // rethrown exception shares state with the worker's task copy, and
-      // consuming it while the worker tears down its copy is a race.
-      for (auto& future : futures) future.wait();
-    }
-    // Collect per-future so one throwing fallback run (a request invalid
-    // locally too) cannot abandon the sibling fallback runs mid-drain;
-    // the aggregate throw below still names each failure.
-    std::vector<std::size_t> fallback_failed;
-    util::MutexLock lock(shared.mutex);
-    for (std::size_t k = 0; k < futures.size(); ++k) {
-      try {
-        reports[undone[k]] = futures[k].get();
-        shared.done[undone[k]] = 1;
-      } catch (const std::exception& e) {
-        shared.request_error[undone[k]] =
-            std::string("local fallback: ") + e.what();
-        fallback_failed.push_back(undone[k]);
-      }
-    }
-    if (fallback_failed.empty()) return reports;
-    undone = std::move(fallback_failed);
-  } else if (control != nullptr && control->stop_requested()) {
+  if (control != nullptr && control->stop_requested()) {
     for (const std::size_t i : undone) {
       reports[i] = cancelled_report(requests[i]);
     }
     return reports;
   }
 
-  // Not stopped, and any fallback has had its chance: the batch genuinely
-  // failed. Name the
-  // endpoints and the first few per-request errors so a fleet operator can
-  // tell which daemon to look at.
+  // Not stopped: the batch genuinely failed. Name the endpoints and the
+  // first few per-request errors so a fleet operator can tell which daemon
+  // to look at.
   std::string what = "sharded run: " + std::to_string(undone.size()) + " of " +
                      std::to_string(n) + " request(s) unserved";
   for (const ShardStats& shard : stats_) {

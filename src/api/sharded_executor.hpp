@@ -22,8 +22,7 @@
 //     RunSnapshots while they run, and a request requeued from a dead
 //     shard ships its latest snapshot to the survivor — the continuation
 //     replays to the same bit-identical report instead of starting over.
-//     With `local_fallback`, requests no shard could serve run on an
-//     in-process Executor instead of failing the batch.
+//     Requests that no shard could serve fail the batch.
 //   * Observability — per-run `finished` events (and, with
 //     `stream_progress`, the daemons' snapshot-cadence progress events)
 //     are forwarded to the RunControl passed to run_all, index-tagged in
@@ -68,7 +67,6 @@
 #include "api/optimizer.hpp"
 #include "api/priority.hpp"
 #include "api/request.hpp"
-#include "api/result_cache.hpp"
 #include "util/metrics.hpp"
 
 namespace moela::api {
@@ -129,14 +127,6 @@ struct ShardedExecutorConfig {
   /// this only changes how much work a failure wastes. Off: failures
   /// re-run whole requests, as before PR 9.
   bool checkpoint = true;
-  /// Run requests that no healthy shard could serve on an in-process
-  /// Executor instead of failing the batch.
-  bool local_fallback = false;
-  /// Worker threads of the local-fallback Executor (0 = all cores).
-  std::size_t local_jobs = 0;
-  /// Cache for local-fallback runs only — remote runs hit the daemons'
-  /// own caches (not owned; may be null).
-  ResultCache* cache = nullptr;
   /// Ask the daemons for snapshot-cadence progress events and forward
   /// them (finished events are always forwarded).
   bool stream_progress = false;
@@ -181,9 +171,8 @@ class ShardedExecutor {
   /// Fans the batch across the fleet and blocks until every request has a
   /// report (or has exhausted its attempts). Reports are index-aligned
   /// with `requests`. Throws std::runtime_error when requests remain
-  /// unserved — with local_fallback off, or when a fallback run itself
-  /// fails (a request invalid locally too); the message names the failing
-  /// endpoints and requests. Not thread-safe: one run_all at a time.
+  /// unserved; the message names the failing endpoints and requests. Not
+  /// thread-safe: one run_all at a time.
   std::vector<RunReport> run_all(const std::vector<RunRequest>& requests,
                                  RunControl* control = nullptr);
 

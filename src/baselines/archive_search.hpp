@@ -77,11 +77,6 @@ class DesignArchive {
   double phv_gain(const moo::ObjectiveVector& obj) const {
     if (entries_.empty()) return 1.0;
     auto points = objective_set();
-    const double before_ideal_phv = [&] {
-      const auto ideal = moo::ideal_point(points);
-      const auto nadir = moo::nadir_point(points);
-      return moo::normalized_hypervolume(points, ideal, nadir);
-    }();
     points.push_back(obj);
     const auto ideal = moo::ideal_point(points);
     const auto nadir = moo::nadir_point(points);
@@ -91,7 +86,6 @@ class DesignArchive {
                                               points.end() - 1);
     const double without_candidate =
         moo::normalized_hypervolume(without, ideal, nadir);
-    (void)before_ideal_phv;
     return with_candidate - without_candidate;
   }
 

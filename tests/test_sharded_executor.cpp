@@ -618,49 +618,6 @@ TEST(ShardedExecutor, AllShardsDownThrowsWithEndpoints) {
   }
 }
 
-TEST(ShardedExecutor, AllShardsDownFallsBackLocally) {
-  const std::vector<RunRequest> sweep = {zdt1_request("nsga2", 1),
-                                         zdt1_request("moela", 2)};
-  const std::vector<RunReport> reference = inline_reports(sweep);
-
-  ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", closed_port()}};
-  config.local_fallback = true;
-  config.local_jobs = 1;
-  ShardedExecutor sharded(config);
-  const std::vector<RunReport> merged = sharded.run_all(sweep);
-
-  ASSERT_EQ(merged.size(), sweep.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    expect_equal_modulo_cache(reference[i], merged[i]);
-  }
-  EXPECT_FALSE(sharded.shard_stats()[0].healthy);
-}
-
-TEST(ShardedExecutor, FallbackPoisonFailsBatchNamingOnlyThePoison) {
-  // The fallback Executor drains every request even when one of them
-  // throws locally too; the aggregate error then names exactly the
-  // poison.
-  ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", closed_port()}};
-  config.local_fallback = true;
-  config.local_jobs = 1;
-  RunRequest poison = zdt1_request("nsga2", 1);
-  poison.algorithm = "no-such-algorithm";
-  poison.label = "poison";
-  ShardedExecutor sharded(config);
-  try {
-    sharded.run_all({zdt1_request("nsga2", 2), poison});
-    FAIL() << "expected the locally-poison request to fail the batch";
-  } catch (const std::runtime_error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("1 of 2 request(s) unserved"), std::string::npos)
-        << what;
-    EXPECT_NE(what.find("'poison'"), std::string::npos) << what;
-    EXPECT_NE(what.find("local fallback:"), std::string::npos) << what;
-  }
-}
-
 TEST(ShardedExecutor, PoisonChunkMatesRetrySoloAndComplete) {
   // One daemon, wire batches of 4: the poison rides with three good
   // requests, the server rejects the whole batch, and the good three must
@@ -713,12 +670,12 @@ TEST(ShardedExecutor, PoisonRequestExhaustsItsAttemptCap) {
 }
 
 TEST(ShardedExecutor, StopCancelsInFlightRemoteChunks) {
-  // Four effectively-endless runs across two daemons (jobs=1, chunk=1):
-  // one in flight per daemon, two still pending coordinator-side. The
-  // first streamed progress event requests the stop; the shard threads
-  // must send the cancel verb, the daemons must actually stop their
-  // in-flight work, and the pending requests come back locally cancelled
-  // — no request is ever "abandoned but still burning daemon CPU".
+  // Four effectively-endless runs across two daemons (jobs=1, chunk=1,
+  // two lanes per shard): one running and one queued on each daemon. The
+  // first streamed progress event requests the stop; the lanes must send
+  // the cancel verb, the daemons must actually stop their running work,
+  // and the queued requests come back cancelled without starting — no
+  // request is ever "abandoned but still burning daemon CPU".
   auto a = make_server(1);
   auto b = make_server(1);
   ShardedExecutorConfig config;
@@ -749,8 +706,8 @@ TEST(ShardedExecutor, StopCancelsInFlightRemoteChunks) {
     EXPECT_TRUE(merged[i].provenance.cancelled) << i;
     EXPECT_LT(merged[i].evaluations, 50000000u) << i;
     // A daemon-side cancel yields a PARTIAL report (the run was really
-    // executing); a coordinator-side cancel of never-submitted work
-    // yields the empty cancelled report.
+    // executing); a run cancelled before it started (queued on the
+    // daemon, or never sent) yields the empty cancelled report.
     if (merged[i].evaluations > 0) ++remote_cancelled;
   }
   EXPECT_GE(remote_cancelled, 1u);  // in-flight remote work really stopped

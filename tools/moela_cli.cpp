@@ -781,14 +781,8 @@ int main(int argc, char** argv) {
                  "problem\n");
     return 2;
   }
-  if (!cli.connect.empty()) return run_sharded(cli);
-  if (cli.list) return list_registry();
-  if (cli.problem.empty() || cli.algorithms.empty()) {
-    std::fprintf(stderr, "moela_cli: --problem and --algorithm are "
-                         "required\n\n");
-    print_usage(stderr);
-    return 2;
-  }
+  // Before any connect: a daemon would reject the key only after the
+  // batch's good runs had executed.
   for (const auto& algorithm : cli.algorithms) {
     if (!api::registry().contains(algorithm)) {
       std::fprintf(stderr,
@@ -796,6 +790,14 @@ int main(int argc, char** argv) {
                    algorithm.c_str());
       return 2;
     }
+  }
+  if (!cli.connect.empty()) return run_sharded(cli);
+  if (cli.list) return list_registry();
+  if (cli.problem.empty() || cli.algorithms.empty()) {
+    std::fprintf(stderr, "moela_cli: --problem and --algorithm are "
+                         "required\n\n");
+    print_usage(stderr);
+    return 2;
   }
   warn_unknown_knobs(cli);
 
