@@ -4,7 +4,9 @@
 // validation errors for malformed requests.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -198,6 +200,127 @@ TEST(ReportSerde, UnknownDesignTypeDegradesToNone) {
       report_from_json(Json::parse(report_to_json(original).dump()));
   EXPECT_TRUE(back.final_designs.empty());  // payload dropped, not garbled
   EXPECT_EQ(back.algorithm, "custom");
+}
+
+
+// --- wire-byte pins ------------------------------------------------------
+// FNV-1a digests of report_to_json(r).dump() for seeded reports of every
+// design kind plus crafted hostile values. The digests were generated from
+// the DOM encoder before any streaming codec existed: whatever encodes a
+// report for the wire must keep these bytes.
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Pins a real run's wall-clock fields so its bytes are reproducible.
+RunReport with_fixed_seconds(RunReport report) {
+  report.seconds = 1.0 / 3.0;
+  for (std::size_t i = 0; i < report.snapshots.size(); ++i) {
+    report.snapshots[i].seconds = 0.125 * static_cast<double>(i + 1);
+  }
+  return report;
+}
+
+RunReport noc_report() {
+  RunRequest request;
+  request.problem = "noc";
+  request.problem_options.small_platform = true;
+  request.problem_options.num_objectives = 3;
+  request.algorithm = "nsga2";
+  request.options.max_evaluations = 240;
+  request.options.snapshot_interval = 80;
+  request.options.population_size = 12;
+  request.need_designs = true;
+  Executor executor({.jobs = 1});
+  return executor.run_all({request}).front();
+}
+
+RunReport cancelled_report() {
+  RunRequest request;
+  request.problem = "zdt1";
+  request.problem_options.num_variables = 8;
+  request.algorithm = "nsga2";
+  request.options.max_evaluations = 4000;
+  request.options.snapshot_interval = 100;
+  request.options.population_size = 12;
+  // The stop is raised from the run's own thread at its second snapshot,
+  // so the partial report always ends at the same budget check.
+  RunControl control;
+  control.on_progress([&control](const RunProgress& progress) {
+    if (progress.evaluations >= 200) control.request_stop();
+  });
+  Executor executor({.jobs = 1});
+  return executor.run_all({request}, &control).front();
+}
+
+RunReport crafted_report() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RunReport report;
+  report.algorithm = "crafted \"name\" \\ \n\x01 \xc3\xa9\xf0\x9f\x98\x80";
+  report.snapshots.push_back(
+      {7, -0.0, {{-0.0, 0x1p-1074}, {DBL_MAX, -DBL_MAX}}});
+  report.snapshots.push_back({9, inf, {}});
+  report.final_front = {{-0.0, 0x1p-1074, DBL_MAX},
+                        {inf, -inf, nan},
+                        {-nan, 1.0 / 3.0, -2.5e-300}};
+  report.final_objectives = {{nan}, {}};
+  report.evaluations = 18446744073709551615ull;
+  report.seconds = nan;
+  RunProvenance& p = report.provenance;
+  p.problem = "zdt1";
+  p.algorithm_key = "moela";
+  p.seed = (1ull << 63) + 5;
+  p.knobs = {{"q\"uote", -0.0},
+             {"back\\slash", 0x1p-1074},
+             {"new\nline", DBL_MAX},
+             {"ctl\x01\x1f", inf},
+             {"\xc3\xa9t\xc3\xa9", -inf},
+             {"nan", nan}};
+  p.cache_key = "k|\"\\\n";
+  p.cache_hit = true;
+  p.cancelled = true;
+  p.priority = "batch";
+  p.trace_id = "t\"\\\n\x02\xe2\x82\xac";
+  return report;
+}
+
+TEST(ReportSerde, WireBytesPinned) {
+  RunReport no_designs = with_fixed_seconds(run_report("zdt1", "moead"));
+  no_designs.final_designs.clear();
+  const struct {
+    const char* name;
+    RunReport report;
+    std::uint64_t digest;
+  } cases[] = {
+      {"zdt1/nsga2", with_fixed_seconds(run_report("zdt1", "nsga2")),
+       0x75c7dc8d5702a42dull},
+      {"knapsack/moead", with_fixed_seconds(run_report("knapsack", "moead")),
+       0x85e431eebbe69ca8ull},
+      {"noc/nsga2", with_fixed_seconds(noc_report()), 0xa2229708cabe33f5ull},
+      {"no designs", no_designs, 0xb5fb6ffaf7a43a37ull},
+      {"cancelled", with_fixed_seconds(cancelled_report()),
+       0x40388cf22014f440ull},
+      {"crafted", crafted_report(), 0x2e2d4944af0df474ull},
+  };
+  for (const auto& c : cases) {
+    const std::string bytes = report_to_json(c.report).dump();
+    EXPECT_EQ(fnv1a(bytes), c.digest)
+        << c.name << " (" << bytes.size() << " bytes)";
+  }
+  // The seeded reports really carry what their names claim.
+  EXPECT_FALSE(cases[0].report.final_designs.empty());
+  EXPECT_FALSE(cases[1].report.final_designs.empty());
+  EXPECT_FALSE(cases[2].report.final_designs.empty());
+  EXPECT_FALSE(cases[0].report.snapshots.empty());
+  EXPECT_TRUE(cases[4].report.provenance.cancelled);
+  EXPECT_LT(cases[4].report.evaluations, 4000u);
 }
 
 }  // namespace

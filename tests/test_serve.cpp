@@ -36,6 +36,7 @@
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "util/json.hpp"
+#include "util/numeric.hpp"
 
 namespace moela::serve {
 namespace {
@@ -158,6 +159,94 @@ TEST(Serve, RepeatedRequestIsServedFromCache) {
   const api::RunReport shared = other.run(requests).front();
   EXPECT_TRUE(shared.provenance.cache_hit);
   expect_equal_modulo_cache(cold, shared);
+}
+
+/// Sends one raw `run` frame and returns the batch's final response line
+/// exactly as it came off the socket (event lines are skipped).
+std::string raw_run_response(fault::RawConnection& raw, std::uint64_t id,
+                             const std::vector<api::RunRequest>& requests) {
+  Json requests_json = Json::array();
+  for (const auto& request : requests) {
+    requests_json.append(api::request_to_json(request));
+  }
+  Json run = Json::object();
+  run.set("id", id).set("verb", "run").set("requests",
+                                           std::move(requests_json));
+  EXPECT_TRUE(raw.send(run.dump()));
+  std::string line;
+  while (raw.read_line(line)) {
+    const auto message = Json::try_parse(line, nullptr);
+    if (message.has_value() && message->find("event") == nullptr) {
+      return line;
+    }
+  }
+  ADD_FAILURE() << "connection closed before run " << id << " answered";
+  return {};
+}
+
+TEST(Serve, RunResponseLineIsTheDomEncoding) {
+  // The run reply's bytes are pinned to the DOM encoding: the line equals
+  // {"id":N,"ok":true,"reports":[...]} assembled from
+  // report_to_json(decoded).dump() per entry, for real, binary and NoC
+  // reports, cold and cache-served, and for an {"error":...} entry.
+  const std::filesystem::path dir =
+      std::filesystem::path(testing::TempDir()) / "moela-serve-dom-line";
+  std::filesystem::remove_all(dir);
+  ServeConfig config;
+  config.use_cache = true;
+  config.cache_dir = dir.string();
+  ServerFixture fixture(config);
+  fault::RawConnection raw(fixture.server->port());
+
+  api::RunRequest real = zdt1_request("nsga2");
+  real.need_designs = true;
+  api::RunRequest binary = zdt1_request("moead");
+  binary.problem = "knapsack";
+  binary.problem_options = {};
+  binary.need_designs = true;
+  api::RunRequest noc = zdt1_request("nsga2");
+  noc.problem = "noc";
+  noc.problem_options = {};
+  noc.problem_options.small_platform = true;
+  noc.options.max_evaluations = 240;
+  noc.need_designs = true;
+  api::RunRequest failing = zdt1_request("nsga2");
+  failing.problem = "no-such-problem";
+
+  const std::vector<std::vector<api::RunRequest>> batches = {
+      {real}, {binary}, {noc}, {real, binary, noc}, {real, failing}};
+  std::uint64_t id = 1;
+  std::size_t hits = 0, errors = 0;
+  for (int pass = 0; pass < 2; ++pass) {  // cold, then cache-served
+    for (const auto& batch : batches) {
+      const std::string line = raw_run_response(raw, id, batch);
+      const Json response = Json::parse(line);
+      ASSERT_TRUE(response.find("ok")->as_bool()) << line;
+      const util::JsonArray& entries = response.find("reports")->as_array();
+      ASSERT_EQ(entries.size(), batch.size());
+      std::string expected =
+          "{\"id\":" + util::dec(id) + ",\"ok\":true,\"reports\":[";
+      for (std::size_t i = 0; i < entries.size(); ++i) {
+        if (i > 0) expected += ',';
+        if (entries[i].find("error") != nullptr) {
+          ++errors;
+          expected += entries[i].dump();
+          continue;
+        }
+        const api::RunReport report = api::report_from_json(entries[i]);
+        if (report.provenance.cache_hit) ++hits;
+        EXPECT_FALSE(report.final_designs.empty()) << batch[i].problem;
+        expected += api::report_to_json(report).dump();
+      }
+      expected += "]}";
+      EXPECT_EQ(line, expected);
+      ++id;
+    }
+  }
+  // The failing run once per pass; every good run after its first
+  // execution replays from the cache (4 in the first pass, 7 in the second).
+  EXPECT_EQ(errors, 2u);
+  EXPECT_EQ(hits, 11u);
 }
 
 // --- auxiliary verbs ------------------------------------------------------
