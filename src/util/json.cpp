@@ -1,8 +1,6 @@
 #include "util/json.hpp"
 
-#include <cctype>
 #include <cmath>
-#include <cstdio>
 
 #include "util/numeric.hpp"
 
@@ -16,9 +14,16 @@ namespace {
                   names[static_cast<int>(got)]);
 }
 
-void append_escaped(std::string& out, const std::string& s) {
+/// Quoted, escaped string. Runs of bytes that need no escape are copied
+/// whole.
+void append_escaped(std::string& out, std::string_view s) {
   out += '"';
-  for (unsigned char c : s) {
+  std::size_t run = 0;
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const unsigned char c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out.append(s.data() + run, i - run);
+    run = i + 1;
     switch (c) {
       case '"': out += "\\\""; break;
       case '\\': out += "\\\\"; break;
@@ -27,279 +32,47 @@ void append_escaped(std::string& out, const std::string& s) {
       case '\n': out += "\\n"; break;
       case '\r': out += "\\r"; break;
       case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof(buffer), "\\u%04x", c);
-          out += buffer;
-        } else {
-          out += static_cast<char>(c);
-        }
+      default: {
+        static const char kHex[] = "0123456789abcdef";
+        out += "\\u00";
+        out += kHex[c >> 4];
+        out += kHex[c & 0xF];
+      }
     }
   }
+  out.append(s.data() + run, s.size() - run);
   out += '"';
 }
 
-void append_double(std::string& out, double d) {
-  if (!std::isfinite(d)) {
-    out += "null";  // JSON has no literal for inf/nan; see header comment
-    return;
-  }
-  // Integral doubles print as integers (cleaner, still exact); everything
-  // else gets the shortest round-trip rendering. Both via to_chars, so the
-  // process locale can never change the bytes. The magnitude check must
-  // come first: casting |d| >= 2^63 to long long is undefined behavior.
-  if (std::fabs(d) < 1e15 &&
-      d == static_cast<double>(static_cast<long long>(d))) {
-    out += dec(static_cast<long long>(d));
-  } else {
-    out += shortest_double(d);
-  }
-}
-
-void dump_value(std::string& out, const Json& v);
-
-void dump_array(std::string& out, const JsonArray& a) {
-  out += '[';
-  bool first = true;
-  for (const auto& item : a) {
-    if (!first) out += ',';
-    first = false;
-    dump_value(out, item);
-  }
-  out += ']';
-}
-
-void dump_object(std::string& out, const JsonObject& o) {
-  out += '{';
-  bool first = true;
-  for (const auto& [key, value] : o) {
-    if (!first) out += ',';
-    first = false;
-    append_escaped(out, key);
-    out += ':';
-    dump_value(out, value);
-  }
-  out += '}';
-}
-
-void dump_value(std::string& out, const Json& v) {
+void write_value(JsonWriter& writer, const Json& v) {
   switch (v.kind()) {
-    case Json::Kind::kNull: out += "null"; break;
-    case Json::Kind::kBool: out += v.as_bool() ? "true" : "false"; break;
+    case Json::Kind::kNull: writer.null(); break;
+    case Json::Kind::kBool: writer.boolean(v.as_bool()); break;
     case Json::Kind::kNumber:
       if (v.holds_u64()) {
-        out += dec(v.as_u64());
+        writer.number(v.as_u64());
       } else {
-        append_double(out, v.as_double());
+        writer.number(v.as_double());
       }
       break;
-    case Json::Kind::kString: append_escaped(out, v.as_string()); break;
-    case Json::Kind::kArray: dump_array(out, v.as_array()); break;
-    case Json::Kind::kObject: dump_object(out, v.as_object()); break;
+    case Json::Kind::kString: writer.string(v.as_string()); break;
+    case Json::Kind::kArray:
+      writer.begin_array();
+      for (const auto& item : v.as_array()) write_value(writer, item);
+      writer.end_array();
+      break;
+    case Json::Kind::kObject:
+      writer.begin_object();
+      for (const auto& [key, value] : v.as_object()) {
+        writer.key(key);
+        write_value(writer, value);
+      }
+      writer.end_object();
+      break;
   }
 }
 
-// ---------------------------------------------------------------- parser
-
-class Parser {
- public:
-  explicit Parser(std::string_view text) : text_(text) {}
-
-  Json parse_document() {
-    Json value = parse_value(0);
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content after JSON value");
-    return value;
-  }
-
- private:
-  static constexpr int kMaxDepth = 100;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw JsonError("Json parse error at byte " + dec(pos_) + ": " + what);
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  bool consume(char expected) {
-    if (pos_ < text_.size() && text_[pos_] == expected) {
-      ++pos_;
-      return true;
-    }
-    return false;
-  }
-
-  void expect(char expected) {
-    if (!consume(expected)) {
-      fail(std::string("expected '") + expected + "'");
-    }
-  }
-
-  void expect_literal(const char* literal) {
-    for (const char* p = literal; *p != '\0'; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        fail(std::string("bad literal (wanted \"") + literal + "\")");
-      }
-      ++pos_;
-    }
-  }
-
-  Json parse_value(int depth) {
-    if (depth > kMaxDepth) fail("nesting too deep");
-    skip_ws();
-    switch (peek()) {
-      case 'n': expect_literal("null"); return Json();
-      case 't': expect_literal("true"); return Json(true);
-      case 'f': expect_literal("false"); return Json(false);
-      case '"': return Json(parse_string());
-      case '[': return parse_array(depth);
-      case '{': return parse_object(depth);
-      default: return parse_number();
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const unsigned char c = text_[pos_++];
-      if (c == '"') return out;
-      if (c < 0x20) fail("raw control character in string");
-      if (c != '\\') {
-        out += static_cast<char>(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': append_codepoint(out, parse_hex4()); break;
-        default: fail("bad escape");
-      }
-    }
-  }
-
-  unsigned parse_hex4() {
-    unsigned value = 0;
-    for (int i = 0; i < 4; ++i) {
-      if (pos_ >= text_.size()) fail("unterminated \\u escape");
-      const char c = text_[pos_++];
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') value |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') value |= static_cast<unsigned>(c - 'A' + 10);
-      else fail("bad \\u escape digit");
-    }
-    return value;
-  }
-
-  void append_codepoint(std::string& out, unsigned cp) {
-    // Surrogate pair: \uD800-\uDBFF must be followed by \uDC00-\uDFFF.
-    if (cp >= 0xD800 && cp <= 0xDBFF) {
-      if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
-          text_[pos_ + 1] != 'u') {
-        fail("lone high surrogate");
-      }
-      pos_ += 2;
-      const unsigned low = parse_hex4();
-      if (low < 0xDC00 || low > 0xDFFF) fail("bad low surrogate");
-      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
-    } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
-      fail("lone low surrogate");
-    }
-    // UTF-8 encode.
-    if (cp < 0x80) {
-      out += static_cast<char>(cp);
-    } else if (cp < 0x800) {
-      out += static_cast<char>(0xC0 | (cp >> 6));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else if (cp < 0x10000) {
-      out += static_cast<char>(0xE0 | (cp >> 12));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    } else {
-      out += static_cast<char>(0xF0 | (cp >> 18));
-      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
-      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-      out += static_cast<char>(0x80 | (cp & 0x3F));
-    }
-  }
-
-  Json parse_number() {
-    const std::size_t start = pos_;
-    if (consume('-')) {}
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) fail("expected a value");
-    const std::string token(text_.substr(start, pos_ - start));
-    // A plain non-negative integer keeps u64 storage (exact seeds/budgets);
-    // everything else parses as a double, locale-independently.
-    if (token.find_first_not_of("0123456789") == std::string::npos) {
-      std::uint64_t u = 0;
-      if (parse_u64(token, u)) return Json(u);
-    }
-    double d = 0.0;
-    if (!parse_double(token, d)) fail("bad number '" + token + "'");
-    return Json(d);
-  }
-
-  Json parse_array(int depth) {
-    expect('[');
-    JsonArray out;
-    skip_ws();
-    if (consume(']')) return Json(std::move(out));
-    for (;;) {
-      out.push_back(parse_value(depth + 1));
-      skip_ws();
-      if (consume(']')) return Json(std::move(out));
-      expect(',');
-    }
-  }
-
-  Json parse_object(int depth) {
-    expect('{');
-    JsonObject out;
-    skip_ws();
-    if (consume('}')) return Json(std::move(out));
-    for (;;) {
-      skip_ws();
-      std::string key = parse_string();
-      skip_ws();
-      expect(':');
-      out[std::move(key)] = parse_value(depth + 1);
-      skip_ws();
-      if (consume('}')) return Json(std::move(out));
-      expect(',');
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+constexpr std::size_t kMaxDepth = 100;
 
 }  // namespace
 
@@ -364,14 +137,416 @@ Json& Json::append(Json value) {
   return *this;
 }
 
+// ---------------------------------------------------------------- writer
+
+JsonWriter& JsonWriter::slot() {
+  if (need_comma_) *out_ += ',';
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_object() {
+  slot();
+  *out_ += '{';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_object() {
+  *out_ += '}';
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::begin_array() {
+  slot();
+  *out_ += '[';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::end_array() {
+  *out_ += ']';
+  need_comma_ = true;
+  return *this;
+}
+
+JsonWriter& JsonWriter::key(std::string_view key) {
+  if (need_comma_) *out_ += ',';
+  append_escaped(*out_, key);
+  *out_ += ':';
+  need_comma_ = false;
+  return *this;
+}
+
+JsonWriter& JsonWriter::null() {
+  slot();
+  *out_ += "null";
+  return *this;
+}
+
+JsonWriter& JsonWriter::boolean(bool value) {
+  slot();
+  *out_ += value ? "true" : "false";
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(double value) {
+  slot();
+  if (!std::isfinite(value)) {
+    *out_ += "null";  // JSON has no literal for inf/nan; see header comment
+    return *this;
+  }
+  // Integral doubles print as integers (cleaner, still exact); everything
+  // else gets the shortest round-trip rendering. Both via to_chars, so the
+  // process locale can never change the bytes. The magnitude check must
+  // come first: casting |value| >= 2^63 to long long is undefined behavior.
+  if (std::fabs(value) < 1e15 &&
+      value == static_cast<double>(static_cast<long long>(value))) {
+    *out_ += dec(static_cast<long long>(value));
+  } else {
+    *out_ += shortest_double(value);
+  }
+  return *this;
+}
+
+JsonWriter& JsonWriter::number(std::uint64_t value) {
+  slot();
+  *out_ += dec(value);
+  return *this;
+}
+
+JsonWriter& JsonWriter::string(std::string_view value) {
+  slot();
+  append_escaped(*out_, value);
+  return *this;
+}
+
+JsonWriter& JsonWriter::exact(double value) {
+  // A hexfloat holds no byte that needs escaping.
+  slot();
+  *out_ += '"';
+  append_hexfloat(*out_, value);
+  *out_ += '"';
+  return *this;
+}
+
+// ---------------------------------------------------------------- reader
+
+void JsonReader::fail(const std::string& what) const {
+  throw JsonError("Json parse error at byte " + dec(pos_) + ": " + what);
+}
+
+void JsonReader::skip_ws() {
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
+    ++pos_;
+  }
+}
+
+void JsonReader::begin_value() {
+  if (depth_ > kMaxDepth) fail("nesting too deep");
+  skip_ws();
+}
+
+char JsonReader::peek_char() {
+  if (pos_ >= text_.size()) fail("unexpected end of input");
+  return text_[pos_];
+}
+
+bool JsonReader::consume(char expected) {
+  if (pos_ < text_.size() && text_[pos_] == expected) {
+    ++pos_;
+    return true;
+  }
+  return false;
+}
+
+void JsonReader::expect(char expected) {
+  if (!consume(expected)) {
+    fail(std::string("expected '") + expected + "'");
+  }
+}
+
+void JsonReader::expect_literal(const char* literal) {
+  for (const char* p = literal; *p != '\0'; ++p) {
+    if (pos_ >= text_.size() || text_[pos_] != *p) {
+      fail(std::string("bad literal (wanted \"") + literal + "\")");
+    }
+    ++pos_;
+  }
+}
+
+Json::Kind JsonReader::peek() {
+  begin_value();
+  switch (peek_char()) {
+    case 'n': return Json::Kind::kNull;
+    case 't':
+    case 'f': return Json::Kind::kBool;
+    case '"': return Json::Kind::kString;
+    case '[': return Json::Kind::kArray;
+    case '{': return Json::Kind::kObject;
+    default: return Json::Kind::kNumber;
+  }
+}
+
+void JsonReader::read_null() {
+  begin_value();
+  expect_literal("null");
+}
+
+bool JsonReader::read_bool() {
+  begin_value();
+  if (peek_char() == 't') {
+    expect_literal("true");
+    return true;
+  }
+  expect_literal("false");
+  return false;
+}
+
+Json JsonReader::read_number() {
+  begin_value();
+  // The token is the longest run of digits and ".eE+-" (a sign included).
+  const std::size_t start = pos_;
+  bool digits_only = true;
+  while (pos_ < text_.size()) {
+    const char c = text_[pos_];
+    if (c < '0' || c > '9') {
+      if (c != '.' && c != 'e' && c != 'E' && c != '+' && c != '-') break;
+      digits_only = false;
+    }
+    ++pos_;
+  }
+  if (pos_ == start) fail("expected a value");
+  const std::string_view token = text_.substr(start, pos_ - start);
+  // A plain non-negative integer keeps u64 storage (exact seeds/budgets);
+  // everything else parses as a double, locale-independently.
+  if (digits_only) {
+    std::uint64_t u = 0;
+    if (parse_u64(token, u)) return Json(u);
+  }
+  double d = 0.0;
+  if (!parse_double(token, d)) fail("bad number '" + std::string(token) + "'");
+  return Json(d);
+}
+
+std::string_view JsonReader::read_string(std::string& scratch) {
+  begin_value();
+  return parse_string(scratch);
+}
+
+std::string JsonReader::read_string() {
+  std::string scratch;
+  const std::string_view value = read_string(scratch);
+  return value.data() == scratch.data() ? std::move(scratch)
+                                        : std::string(value);
+}
+
+std::string_view JsonReader::parse_string(std::string& scratch) {
+  expect('"');
+  // Bytes up to the next quote, escape or control byte copy verbatim.
+  const auto plain_end = [this](std::size_t from) {
+    while (from < text_.size()) {
+      const unsigned char c = static_cast<unsigned char>(text_[from]);
+      if (c == '"' || c == '\\' || c < 0x20) break;
+      ++from;
+    }
+    return from;
+  };
+  const std::size_t start = pos_;
+  pos_ = plain_end(pos_);
+  if (pos_ < text_.size() && text_[pos_] == '"') {
+    ++pos_;
+    return text_.substr(start, pos_ - 1 - start);
+  }
+  scratch.assign(text_.data() + start, pos_ - start);
+  for (;;) {
+    if (pos_ >= text_.size()) fail("unterminated string");
+    const unsigned char c = static_cast<unsigned char>(text_[pos_++]);
+    if (c == '"') return scratch;
+    if (c < 0x20) fail("raw control character in string");
+    // Otherwise c is the backslash of an escape.
+    if (pos_ >= text_.size()) fail("unterminated escape");
+    const char e = text_[pos_++];
+    switch (e) {
+      case '"': scratch += '"'; break;
+      case '\\': scratch += '\\'; break;
+      case '/': scratch += '/'; break;
+      case 'b': scratch += '\b'; break;
+      case 'f': scratch += '\f'; break;
+      case 'n': scratch += '\n'; break;
+      case 'r': scratch += '\r'; break;
+      case 't': scratch += '\t'; break;
+      case 'u': append_codepoint(scratch, parse_hex4()); break;
+      default: fail("bad escape");
+    }
+    const std::size_t run = plain_end(pos_);
+    scratch.append(text_.data() + pos_, run - pos_);
+    pos_ = run;
+  }
+}
+
+unsigned JsonReader::parse_hex4() {
+  unsigned value = 0;
+  for (int i = 0; i < 4; ++i) {
+    if (pos_ >= text_.size()) fail("unterminated \\u escape");
+    const char c = text_[pos_++];
+    value <<= 4;
+    if (c >= '0' && c <= '9') value |= static_cast<unsigned>(c - '0');
+    else if (c >= 'a' && c <= 'f') value |= static_cast<unsigned>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') value |= static_cast<unsigned>(c - 'A' + 10);
+    else fail("bad \\u escape digit");
+  }
+  return value;
+}
+
+void JsonReader::append_codepoint(std::string& out, unsigned cp) {
+  // Surrogate pair: \uD800-\uDBFF must be followed by \uDC00-\uDFFF.
+  if (cp >= 0xD800 && cp <= 0xDBFF) {
+    if (pos_ + 1 >= text_.size() || text_[pos_] != '\\' ||
+        text_[pos_ + 1] != 'u') {
+      fail("lone high surrogate");
+    }
+    pos_ += 2;
+    const unsigned low = parse_hex4();
+    if (low < 0xDC00 || low > 0xDFFF) fail("bad low surrogate");
+    cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+  } else if (cp >= 0xDC00 && cp <= 0xDFFF) {
+    fail("lone low surrogate");
+  }
+  // UTF-8 encode.
+  if (cp < 0x80) {
+    out += static_cast<char>(cp);
+  } else if (cp < 0x800) {
+    out += static_cast<char>(0xC0 | (cp >> 6));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else if (cp < 0x10000) {
+    out += static_cast<char>(0xE0 | (cp >> 12));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  } else {
+    out += static_cast<char>(0xF0 | (cp >> 18));
+    out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+    out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+    out += static_cast<char>(0x80 | (cp & 0x3F));
+  }
+}
+
+void JsonReader::begin_array() {
+  begin_value();
+  expect('[');
+  ++depth_;
+  first_ = true;
+}
+
+bool JsonReader::next_element() {
+  skip_ws();
+  if (consume(']')) {
+    --depth_;
+    first_ = false;  // the closed array was its parent's current member
+    return false;
+  }
+  if (first_) {
+    first_ = false;
+  } else {
+    expect(',');
+  }
+  return true;
+}
+
+void JsonReader::begin_object() {
+  begin_value();
+  expect('{');
+  ++depth_;
+  first_ = true;
+}
+
+bool JsonReader::next_key(std::string_view& key) {
+  skip_ws();
+  if (consume('}')) {
+    --depth_;
+    first_ = false;
+    return false;
+  }
+  if (first_) {
+    first_ = false;
+  } else {
+    expect(',');
+    skip_ws();
+  }
+  key = parse_string(key_scratch_);
+  skip_ws();
+  expect(':');
+  return true;
+}
+
+Json JsonReader::read_value() {
+  switch (peek()) {
+    case Json::Kind::kNull: read_null(); return Json();
+    case Json::Kind::kBool: return Json(read_bool());
+    case Json::Kind::kString: return Json(read_string());
+    case Json::Kind::kArray: {
+      JsonArray out;
+      begin_array();
+      while (next_element()) out.push_back(read_value());
+      return Json(std::move(out));
+    }
+    case Json::Kind::kObject: {
+      JsonObject out;
+      begin_object();
+      std::string_view key;
+      while (next_key(key)) {
+        std::string name(key);  // read_value() reuses the key buffer
+        out[std::move(name)] = read_value();
+      }
+      return Json(std::move(out));
+    }
+    case Json::Kind::kNumber: break;
+  }
+  return read_number();
+}
+
+std::string_view JsonReader::skip() {
+  const Json::Kind kind = peek();
+  const std::size_t start = pos_;
+  switch (kind) {
+    case Json::Kind::kNull: read_null(); break;
+    case Json::Kind::kBool: read_bool(); break;
+    case Json::Kind::kString: read_string(skip_scratch_); break;
+    case Json::Kind::kArray:
+      begin_array();
+      while (next_element()) skip();
+      break;
+    case Json::Kind::kObject: {
+      begin_object();
+      std::string_view key;
+      while (next_key(key)) skip();
+      break;
+    }
+    case Json::Kind::kNumber: read_number(); break;
+  }
+  return text_.substr(start, pos_ - start);
+}
+
+void JsonReader::finish() {
+  skip_ws();
+  if (pos_ != text_.size()) fail("trailing content after JSON value");
+}
+
 std::string Json::dump() const {
   std::string out;
-  dump_value(out, *this);
+  JsonWriter writer(out);
+  write_value(writer, *this);
   return out;
 }
 
 Json Json::parse(std::string_view text) {
-  return Parser(text).parse_document();
+  JsonReader reader(text);
+  Json value = reader.read_value();
+  reader.finish();
+  return value;
 }
 
 std::optional<Json> Json::try_parse(std::string_view text,

@@ -5,6 +5,12 @@
 // are escaped, objects iterate in sorted key order for deterministic
 // output).
 //
+// The format has one definition, in two streaming halves that the tree
+// (Json) is built on: JsonWriter renders values (dump() is a JsonWriter
+// walk) and JsonReader tokenizes them (parse() is a JsonReader descent).
+// A codec that reads or writes its own types through them, without a
+// tree, gets the tree's bytes, grammar, nesting cap and error text.
+//
 // Exactness: JSON number literals are decimal, so bit-exact doubles travel
 // as hexfloat STRINGS ("0x1.8p+1") via exact_number() and are read back
 // with exact_to_double(), which accepts either representation. Unsigned
@@ -128,6 +134,130 @@ double double_field_or(const Json& object, const std::string& key,
                        double fallback);
 std::string string_field_or(const Json& object, const std::string& key,
                             std::string fallback = {});
+
+/// Streaming writer: appends one JSON text to a string, value by value,
+/// with the separators dump() writes. dump() is built on it, so a value
+/// written here has the tree's exact bytes; to match dump()'s key order a
+/// caller writes each object's keys in sorted (std::map) order.
+class JsonWriter {
+ public:
+  explicit JsonWriter(std::string& out) : out_(&out) {}
+
+  JsonWriter& begin_object();
+  JsonWriter& end_object();
+  JsonWriter& begin_array();
+  JsonWriter& end_array();
+  /// Writes `"key":`; the next call writes the member's value.
+  JsonWriter& key(std::string_view key);
+
+  JsonWriter& null();
+  JsonWriter& boolean(bool value);
+  /// Integral doubles print as integers, others in shortest round-trip
+  /// form; non-finite ones print as null (see Json::dump).
+  JsonWriter& number(double value);
+  JsonWriter& number(std::uint64_t value);
+  JsonWriter& string(std::string_view value);
+  /// exact_number(value): the bit-exact hexfloat string.
+  JsonWriter& exact(double value);
+
+  /// Writes the separator the next value needs, for a caller that appends
+  /// that one value to the string itself.
+  JsonWriter& slot();
+
+ private:
+  std::string* out_;
+  bool need_comma_ = false;
+};
+
+/// Pull reader over one JSON text: the tokenizer Json::parse is built on,
+/// for decoders that read values straight into their own types. The
+/// grammar, the nesting cap and the error messages are parse()'s; every
+/// error throws JsonError carrying the byte offset.
+///
+///   JsonReader reader(text);
+///   reader.begin_object();
+///   std::string_view key;
+///   while (reader.next_key(key)) {
+///     if (key == "n") n = reader.read_number().as_u64();
+///     else reader.skip();
+///   }
+///   reader.finish();
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view text) : text_(text) {}
+
+  /// Kind of the next value (a byte that starts no value reads as a
+  /// number, which read_number() then rejects). Consumes only whitespace.
+  Json::Kind peek();
+
+  void read_null();
+  bool read_bool();
+  /// A number in the tree's storage: u64 for a plain non-negative integer
+  /// that fits, double otherwise.
+  Json read_number();
+  /// The unescaped string: a view into the text when it holds no escape,
+  /// into `scratch` otherwise. Valid until either changes.
+  std::string_view read_string(std::string& scratch);
+  std::string read_string();
+  /// Any value, as a tree.
+  Json read_value();
+  /// Consumes one value of any kind, checked exactly as read_value()
+  /// checks it, and returns its text.
+  std::string_view skip();
+
+  void begin_array();
+  /// True when another element follows (read it next); false once the
+  /// closing ']' is consumed.
+  bool next_element();
+  void begin_object();
+  /// True with the member's unescaped key when another member follows
+  /// (read its value next); false once the closing '}' is consumed. The
+  /// key stays valid until the next call.
+  bool next_key(std::string_view& key);
+
+  /// Throws unless only whitespace follows the value read.
+  void finish();
+
+  /// Byte offset of the next unread character.
+  std::size_t offset() const { return pos_; }
+  std::string_view text() const { return text_; }
+
+  /// A point to come back to: rewind(mark()) forgets everything read
+  /// since, e.g. to skip() a value whose decoding failed half way.
+  struct Mark {
+    std::size_t pos = 0;
+    std::size_t depth = 0;
+    bool first = false;
+  };
+  Mark mark() const { return {pos_, depth_, first_}; }
+  void rewind(const Mark& mark) {
+    pos_ = mark.pos;
+    depth_ = mark.depth;
+    first_ = mark.first;
+  }
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const;
+  void skip_ws();
+  /// Every value starts here: the nesting cap, then whitespace.
+  void begin_value();
+  char peek_char();
+  bool consume(char expected);
+  void expect(char expected);
+  void expect_literal(const char* literal);
+  std::string_view parse_string(std::string& scratch);
+  unsigned parse_hex4();
+  void append_codepoint(std::string& out, unsigned cp);
+
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  /// Containers open around the next value.
+  std::size_t depth_ = 0;
+  /// True until the innermost open container's first member is announced.
+  bool first_ = false;
+  std::string key_scratch_;
+  std::string skip_scratch_;
+};
 
 /// Bit-exact double carrier: a hexfloat string value (util::hexfloat
 /// rendering, the same one used by the result cache's disk tier and cache

@@ -34,21 +34,31 @@ std::string dec(T value) {
   return std::string(buffer, result.ptr);
 }
 
-/// Bit-exact hexfloat rendering ("0x1.8p+1"), locale-independent.
-inline std::string hexfloat(double value) {
+/// Appends hexfloat(value) to `out` without a temporary string.
+inline void append_hexfloat(std::string& out, double value) {
   char buffer[40];
-  char* out = buffer;
+  char* cursor = buffer;
   double magnitude = value;
   if (std::signbit(value)) {
-    *out++ = '-';
+    *cursor++ = '-';
     magnitude = -value;
   }
-  *out++ = '0';
-  *out++ = 'x';
-  const auto result = std::to_chars(out, buffer + sizeof(buffer), magnitude,
-                                    std::chars_format::hex);
-  if (result.ec != std::errc()) return "0x0p+0";  // cannot happen: buffer fits
-  return std::string(buffer, result.ptr);
+  *cursor++ = '0';
+  *cursor++ = 'x';
+  const auto result = std::to_chars(cursor, buffer + sizeof(buffer),
+                                    magnitude, std::chars_format::hex);
+  if (result.ec != std::errc()) {
+    out += "0x0p+0";  // cannot happen: buffer fits
+    return;
+  }
+  out.append(buffer, result.ptr);
+}
+
+/// Bit-exact hexfloat rendering ("0x1.8p+1"), locale-independent.
+inline std::string hexfloat(double value) {
+  std::string out;
+  append_hexfloat(out, value);
+  return out;
 }
 
 /// Shortest decimal string that round-trips the double ("0.1", "1e+300").

@@ -9,6 +9,8 @@
 #include <cstring>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "util/json.hpp"
 
@@ -129,6 +131,98 @@ TEST(Json, ExactNumberRoundTripsDoublesBitForBit) {
   // Plain numbers are accepted too (hand-written requests).
   EXPECT_EQ(exact_to_double(Json(2.5)), 2.5);
   EXPECT_THROW(exact_to_double(Json("not-a-number")), JsonError);
+}
+
+// --- the streaming halves ------------------------------------------------
+
+TEST(JsonWriter, WritesDumpBytes) {
+  Json tree = Json::object();
+  tree.set("a", Json::array()
+                    .append(Json())
+                    .append(true)
+                    .append(2.5)
+                    .append(std::uint64_t{18446744073709551615ull})
+                    .append(std::numeric_limits<double>::infinity())
+                    .append(-3.0))
+      .set("b\n\"", exact_number(-0.0))
+      .set("c", Json::object().set("d", Json::array()));
+  std::string out;
+  JsonWriter w(out);
+  w.begin_object();
+  w.key("a").begin_array().null().boolean(true).number(2.5);
+  w.number(std::uint64_t{18446744073709551615ull});
+  w.number(std::numeric_limits<double>::infinity()).number(-3.0);
+  w.end_array();
+  w.key("b\n\"").exact(-0.0);
+  w.key("c").begin_object().key("d").begin_array().end_array().end_object();
+  w.end_object();
+  EXPECT_EQ(out, tree.dump());
+}
+
+TEST(JsonReader, SkipAcceptsAndRejectsWhatParseDoes) {
+  std::string deep;
+  for (int i = 0; i < 101; ++i) deep += '[';
+  deep += "1";
+  for (int i = 0; i < 101; ++i) deep += ']';
+  const std::string docs[] = {
+      "",         "{",          "[1,",      "tru",         "1 2",
+      "{a:1}",    "[01x]",      "\"\x01\"", "{\"a\":}",    "nul",
+      "[1,2]",    "{\"a\":[{}]}", "-0.5e3",   "\"\\ud83d\"", deep,
+      deep.substr(1, deep.size() - 2), "  null ", "{\"a\":1,}",
+  };
+  for (const std::string& doc : docs) {
+    std::string parse_error, skip_error;
+    try {
+      (void)Json::parse(doc);
+    } catch (const JsonError& e) {
+      parse_error = e.what();
+    }
+    try {
+      JsonReader reader(doc);
+      reader.skip();
+      reader.finish();
+    } catch (const JsonError& e) {
+      skip_error = e.what();
+    }
+    EXPECT_EQ(skip_error, parse_error) << "'" << doc << "'";
+  }
+}
+
+TEST(JsonReader, PullsMembersWithoutATree) {
+  const std::string text =
+      R"({"n":7, "s":"plain", "e":"a\nb", "k\u0041":[1.5,"0x1p-1"],)"
+      R"( "skip":{"x":[null,true]}})";
+  JsonReader reader(text);
+  reader.begin_object();
+  std::string scratch;
+  std::vector<std::string> keys;
+  std::string_view key;
+  while (reader.next_key(key)) {
+    keys.emplace_back(key);
+    if (key == "n") {
+      EXPECT_EQ(reader.read_number().as_u64(), 7u);
+    } else if (key == "s") {
+      const std::string_view value = reader.read_string(scratch);
+      EXPECT_EQ(value, "plain");
+      // No escape: the view points into the text, nothing is copied.
+      EXPECT_GE(value.data(), text.data());
+      EXPECT_LT(value.data(), text.data() + text.size());
+    } else if (key == "e") {
+      EXPECT_EQ(reader.read_string(), "a\nb");
+    } else if (key == "kA") {
+      reader.begin_array();
+      ASSERT_TRUE(reader.next_element());
+      EXPECT_EQ(reader.peek(), Json::Kind::kNumber);
+      EXPECT_EQ(reader.read_number().as_double(), 1.5);
+      ASSERT_TRUE(reader.next_element());
+      EXPECT_EQ(exact_to_double(reader.read_value()), 0.5);
+      EXPECT_FALSE(reader.next_element());
+    } else {
+      EXPECT_EQ(reader.skip(), R"({"x":[null,true]})");
+    }
+  }
+  reader.finish();
+  EXPECT_EQ(keys, (std::vector<std::string>{"n", "s", "e", "kA", "skip"}));
 }
 
 }  // namespace
