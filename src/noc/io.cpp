@@ -7,6 +7,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/numeric.hpp"
+
 namespace moela::noc {
 
 namespace {
@@ -35,15 +37,7 @@ std::istringstream expect_line(std::istream& is, const std::string& context) {
 }  // namespace
 
 void write_design(std::ostream& os, const NocDesign& design) {
-  // Pin the classic locale: a std::locale::global change must not insert
-  // digit grouping or swap the radix character in serialized designs.
-  os.imbue(std::locale::classic());
-  os << "noc-design v1\n";
-  os << "placement";
-  for (CoreId c : design.placement) os << ' ' << c;
-  os << '\n';
-  os << "links " << design.links.size() << '\n';
-  for (const Link& l : design.links) os << l.a << ' ' << l.b << '\n';
+  os << design_to_string(design);
 }
 
 NocDesign read_design(std::istream& is) {
@@ -88,9 +82,23 @@ NocDesign read_design(std::istream& is) {
 }
 
 std::string design_to_string(const NocDesign& design) {
-  std::ostringstream os;
-  write_design(os, design);
-  return os.str();
+  // util::dec renders through to_chars, so no locale can insert digit
+  // grouping into a serialized design.
+  std::string out = "noc-design v1\nplacement";
+  for (CoreId c : design.placement) {
+    out += ' ';
+    out += util::dec(c);
+  }
+  out += "\nlinks ";
+  out += util::dec(design.links.size());
+  out += '\n';
+  for (const Link& l : design.links) {
+    out += util::dec(l.a);
+    out += ' ';
+    out += util::dec(l.b);
+    out += '\n';
+  }
+  return out;
 }
 
 NocDesign design_from_string(const std::string& text) {
