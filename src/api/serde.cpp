@@ -1,6 +1,7 @@
 #include "api/serde.hpp"
 
 #include <cstdint>
+#include <exception>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -9,6 +10,7 @@
 #include "api/snapshot.hpp"
 #include "noc/design.hpp"
 #include "noc/io.hpp"
+#include "util/numeric.hpp"
 
 namespace moela::api {
 namespace {
@@ -160,6 +162,331 @@ std::vector<AnyDesign> designs_from_json(const Json& json) {
     return out;
   }
   throw JsonError("designs: unknown kind '" + kind + "'");
+}
+
+// ---------------------------------------------------------------- streaming
+// The report codec without a tree. Writers emit each object's keys in the
+// sorted order JsonObject iterates in. Readers take members in any order
+// and mirror what report_from_json sees in a tree: a repeated key keeps
+// its last value, and only that value's shape can fail the decode; a
+// non-object where an object is read counts as absent (Json::find).
+
+using util::JsonReader;
+using util::JsonWriter;
+using Kind = util::Json::Kind;
+
+void write_rows(JsonWriter& w, const std::vector<moo::ObjectiveVector>& rows) {
+  w.begin_array();
+  for (const auto& row : rows) {
+    w.begin_array();
+    for (double v : row) w.exact(v);
+    w.end_array();
+  }
+  w.end_array();
+}
+
+void write_knobs(JsonWriter& w, const std::map<std::string, double>& knobs) {
+  w.begin_object();
+  for (const auto& [name, value] : knobs) w.key(name).exact(value);
+  w.end_object();
+}
+
+void write_designs(JsonWriter& w, const std::vector<AnyDesign>& designs) {
+  const std::type_info& t =
+      designs.empty() ? typeid(void) : designs.front().type();
+  w.begin_object();
+  if (t == typeid(std::vector<double>)) {
+    w.key("kind").string("real").key("values").begin_array();
+    for (const auto& d : designs) {
+      w.begin_array();
+      for (double x : d.as<std::vector<double>>()) w.exact(x);
+      w.end_array();
+    }
+  } else if (t == typeid(std::vector<std::uint8_t>)) {
+    w.key("kind").string("binary").key("values").begin_array();
+    for (const auto& d : designs) {
+      w.begin_array();
+      for (unsigned x : d.as<std::vector<std::uint8_t>>()) {
+        w.number(static_cast<std::uint64_t>(x));
+      }
+      w.end_array();
+    }
+  } else if (t == typeid(noc::NocDesign)) {
+    w.key("kind").string("noc").key("values").begin_array();
+    for (const auto& d : designs) {
+      w.string(noc::design_to_string(d.as<noc::NocDesign>()));
+    }
+  } else {
+    w.key("kind").string("none").key("values").begin_array();
+  }
+  w.end_array().end_object();
+}
+
+/// Decodes one member's value with `decode`. When the value has the wrong
+/// shape it is skipped and the error kept in `error` until the object
+/// closes, so that a later duplicate of the key can clear it; malformed
+/// JSON throws at once (skip() meets it again).
+template <typename Decode>
+void read_member(JsonReader& r, std::exception_ptr& error, Decode&& decode) {
+  const JsonReader::Mark mark = r.mark();
+  error = nullptr;
+  try {
+    decode();
+  } catch (const JsonError&) {
+    r.rewind(mark);
+    r.skip();
+    error = std::current_exception();
+  }
+}
+
+template <std::size_t N>
+void rethrow_first(const std::exception_ptr (&errors)[N]) {
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
+[[noreturn]] void mistyped(const char* wanted) {
+  throw JsonError(std::string("report: expected ") + wanted);
+}
+
+std::string read_string_value(JsonReader& r, std::string& scratch) {
+  if (r.peek() != Kind::kString) mistyped("a string");
+  return std::string(r.read_string(scratch));
+}
+
+std::uint64_t read_u64_value(JsonReader& r) {
+  if (r.peek() != Kind::kNumber) mistyped("a number");
+  return r.read_number().as_u64();
+}
+
+bool read_bool_value(JsonReader& r) {
+  if (r.peek() != Kind::kBool) mistyped("a bool");
+  return r.read_bool();
+}
+
+/// util::exact_to_double on the next value: a number, or a numeric string.
+double read_exact_value(JsonReader& r, std::string& scratch) {
+  switch (r.peek()) {
+    case Kind::kNumber: return r.read_number().as_double();
+    case Kind::kString: {
+      const std::string_view text = r.read_string(scratch);
+      double d = 0.0;
+      if (util::parse_double(text, d)) return d;
+      throw JsonError("Json: string '" + std::string(text) +
+                      "' is not a number");
+    }
+    default: mistyped("a number or numeric string");
+  }
+}
+
+/// One array of exact doubles. Elements collect in `buffer`, so the
+/// returned vector is allocated once at its final size.
+std::vector<double> read_exact_row(JsonReader& r, std::string& scratch,
+                                   std::vector<double>& buffer) {
+  if (r.peek() != Kind::kArray) mistyped("a row array");
+  buffer.clear();
+  r.begin_array();
+  while (r.next_element()) buffer.push_back(read_exact_value(r, scratch));
+  return std::vector<double>(buffer.begin(), buffer.end());
+}
+
+std::vector<moo::ObjectiveVector> read_rows(JsonReader& r,
+                                            std::string& scratch) {
+  if (r.peek() != Kind::kArray) mistyped("an array of rows");
+  std::vector<moo::ObjectiveVector> out;
+  std::vector<double> buffer;
+  r.begin_array();
+  while (r.next_element()) out.push_back(read_exact_row(r, scratch, buffer));
+  return out;
+}
+
+std::map<std::string, double> read_knobs(JsonReader& r, std::string& scratch) {
+  if (r.peek() != Kind::kObject) mistyped("a knob object");
+  std::map<std::string, double> out;
+  std::map<std::string, std::exception_ptr> errors;
+  r.begin_object();
+  std::string_view key;
+  while (r.next_key(key)) {
+    std::string name(key);  // skipping a bad value reuses the key buffer
+    std::exception_ptr error;
+    read_member(r, error, [&] { out[name] = read_exact_value(r, scratch); });
+    if (error) {
+      errors[name] = error;
+    } else {
+      errors.erase(name);
+    }
+  }
+  if (!errors.empty()) std::rethrow_exception(errors.begin()->second);
+  return out;
+}
+
+/// The "values" array of a designs object whose kind is `kind`.
+std::vector<AnyDesign> read_design_values(JsonReader& r,
+                                          const std::string& kind,
+                                          std::string& scratch) {
+  const bool known = kind == "real" || kind == "binary" || kind == "noc";
+  if (!known) throw JsonError("designs: unknown kind '" + kind + "'");
+  if (r.peek() != Kind::kArray) mistyped("a design array");
+  std::vector<AnyDesign> out;
+  std::vector<double> buffer;
+  r.begin_array();
+  while (r.next_element()) {
+    if (kind == "noc") {
+      const std::string text = read_string_value(r, scratch);
+      try {
+        out.push_back(
+            AnyDesign::wrap<noc::NocDesign>(noc::design_from_string(text)));
+      } catch (const std::exception& e) {
+        throw JsonError(std::string("designs: bad noc payload: ") + e.what());
+      }
+      continue;
+    }
+    if (kind == "real") {
+      out.push_back(AnyDesign::wrap<std::vector<double>>(
+          read_exact_row(r, scratch, buffer)));
+      continue;
+    }
+    if (r.peek() != Kind::kArray) mistyped("a design row");
+    std::vector<std::uint8_t> v;
+    r.begin_array();
+    while (r.next_element()) {
+      v.push_back(static_cast<std::uint8_t>(read_u64_value(r)));
+    }
+    out.push_back(AnyDesign::wrap<std::vector<std::uint8_t>>(std::move(v)));
+  }
+  return out;
+}
+
+std::vector<AnyDesign> read_designs(JsonReader& r, std::string& scratch) {
+  if (r.peek() != Kind::kObject) {
+    r.skip();
+    return {};
+  }
+  // "values" is decoded as it streams past when "kind" came first (the
+  // sorted order every writer uses). Otherwise, or when a later "kind"
+  // changes how it reads, it is decoded again from its text at the end.
+  std::string kind = "none";
+  std::exception_ptr kind_error;
+  std::string_view values;
+  std::string decoded_as;
+  std::vector<AnyDesign> out;
+  std::exception_ptr values_error;
+  r.begin_object();
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "kind") {
+      read_member(r, kind_error, [&] { kind = read_string_value(r, scratch); });
+    } else if (key == "values") {
+      const std::size_t start = r.offset();
+      decoded_as.clear();
+      if (kind == "real" || kind == "binary" || kind == "noc") {
+        decoded_as = kind;
+        read_member(r, values_error,
+                    [&] { out = read_design_values(r, kind, scratch); });
+      } else {
+        r.skip();
+      }
+      values = r.text().substr(start, r.offset() - start);
+    } else {
+      r.skip();
+    }
+  }
+  // report_from_json reads "kind" first and "values" only for a kind.
+  if (kind_error) std::rethrow_exception(kind_error);
+  if (kind == "none" || values.empty()) return {};
+  if (decoded_as != kind) {
+    JsonReader again(values);
+    return read_design_values(again, kind, scratch);
+  }
+  if (values_error) std::rethrow_exception(values_error);
+  return out;
+}
+
+core::ArchiveSnapshot read_snapshot(JsonReader& r, std::string& scratch) {
+  core::ArchiveSnapshot snapshot;
+  if (r.peek() != Kind::kObject) {
+    r.skip();
+    return snapshot;
+  }
+  enum { kEvaluations, kSeconds, kFront, kFields };
+  std::exception_ptr errors[kFields];
+  r.begin_object();
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "evaluations") {
+      read_member(r, errors[kEvaluations], [&] {
+        snapshot.evaluations = static_cast<std::size_t>(read_u64_value(r));
+      });
+    } else if (key == "seconds") {
+      read_member(r, errors[kSeconds],
+                  [&] { snapshot.seconds = read_exact_value(r, scratch); });
+    } else if (key == "front") {
+      read_member(r, errors[kFront],
+                  [&] { snapshot.front = read_rows(r, scratch); });
+    } else {
+      r.skip();
+    }
+  }
+  rethrow_first(errors);
+  return snapshot;
+}
+
+std::vector<core::ArchiveSnapshot> read_snapshots(JsonReader& r,
+                                                  std::string& scratch) {
+  if (r.peek() != Kind::kArray) mistyped("a snapshot array");
+  std::vector<core::ArchiveSnapshot> out;
+  r.begin_array();
+  while (r.next_element()) out.push_back(read_snapshot(r, scratch));
+  return out;
+}
+
+RunProvenance read_provenance(JsonReader& r, std::string& scratch) {
+  RunProvenance p;
+  if (r.peek() != Kind::kObject) {
+    r.skip();
+    return p;
+  }
+  enum {
+    kProblem, kAlgorithmKey, kSeed, kKnobs, kCacheKey, kCacheHit,
+    kCancelled, kPriority, kTrace, kFields
+  };
+  std::exception_ptr errors[kFields];
+  const auto string_member = [&](int field, std::string& out) {
+    read_member(r, errors[field],
+                [&] { out = read_string_value(r, scratch); });
+  };
+  const auto bool_member = [&](int field, bool& out) {
+    read_member(r, errors[field], [&] { out = read_bool_value(r); });
+  };
+  r.begin_object();
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "problem") {
+      string_member(kProblem, p.problem);
+    } else if (key == "algorithm_key") {
+      string_member(kAlgorithmKey, p.algorithm_key);
+    } else if (key == "seed") {
+      read_member(r, errors[kSeed], [&] { p.seed = read_u64_value(r); });
+    } else if (key == "knobs") {
+      read_member(r, errors[kKnobs],
+                  [&] { p.knobs = read_knobs(r, scratch); });
+    } else if (key == "cache_key") {
+      string_member(kCacheKey, p.cache_key);
+    } else if (key == "cache_hit") {
+      bool_member(kCacheHit, p.cache_hit);
+    } else if (key == "cancelled") {
+      bool_member(kCancelled, p.cancelled);
+    } else if (key == "priority") {
+      string_member(kPriority, p.priority);
+    } else if (key == "trace") {
+      string_member(kTrace, p.trace_id);
+    } else {
+      r.skip();
+    }
+  }
+  rethrow_first(errors);
+  return p;
 }
 
 }  // namespace
@@ -320,6 +647,113 @@ RunReport report_from_json(const Json& json) {
     // Absent on pre-telemetry wire peers: the empty default stands.
     read_string(*provenance, "trace", p.trace_id);
   }
+  return report;
+}
+
+void write_report_json(util::JsonWriter& w, const RunReport& report) {
+  const RunProvenance& p = report.provenance;
+  w.begin_object();
+  w.key("algorithm").string(report.algorithm);
+  w.key("designs");
+  write_designs(w, report.final_designs);
+  w.key("evaluations").number(static_cast<std::uint64_t>(report.evaluations));
+  w.key("final_front");
+  write_rows(w, report.final_front);
+  w.key("final_objectives");
+  write_rows(w, report.final_objectives);
+  w.key("provenance").begin_object();
+  w.key("algorithm_key").string(p.algorithm_key);
+  w.key("cache_hit").boolean(p.cache_hit);
+  w.key("cache_key").string(p.cache_key);
+  w.key("cancelled").boolean(p.cancelled);
+  w.key("knobs");
+  write_knobs(w, p.knobs);
+  w.key("priority").string(p.priority);
+  w.key("problem").string(p.problem);
+  w.key("seed").number(p.seed);
+  w.key("trace").string(p.trace_id);
+  w.end_object();
+  w.key("seconds").exact(report.seconds);
+  w.key("snapshots").begin_array();
+  for (const auto& s : report.snapshots) {
+    w.begin_object();
+    w.key("evaluations").number(static_cast<std::uint64_t>(s.evaluations));
+    w.key("front");
+    write_rows(w, s.front);
+    w.key("seconds").exact(s.seconds);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+}
+
+void append_report_json(std::string& out, const RunReport& report) {
+  util::JsonWriter writer(out);
+  write_report_json(writer, report);
+}
+
+RunReport read_report_json(util::JsonReader& r,
+                           const OtherMemberReader& other_member) {
+  RunReport report;
+  if (r.peek() != Kind::kObject) {
+    r.skip();
+    return report;
+  }
+  enum {
+    kAlgorithm, kSnapshots, kFinalFront, kFinalObjectives, kDesigns,
+    kEvaluations, kSeconds, kProvenance, kFields
+  };
+  std::exception_ptr errors[kFields];
+  std::string scratch;
+  r.begin_object();
+  std::string_view key;
+  while (r.next_key(key)) {
+    if (key == "algorithm") {
+      read_member(r, errors[kAlgorithm], [&] {
+        report.algorithm = read_string_value(r, scratch);
+      });
+    } else if (key == "snapshots") {
+      read_member(r, errors[kSnapshots], [&] {
+        report.snapshots = read_snapshots(r, scratch);
+      });
+    } else if (key == "final_front") {
+      read_member(r, errors[kFinalFront], [&] {
+        report.final_front = read_rows(r, scratch);
+      });
+    } else if (key == "final_objectives") {
+      read_member(r, errors[kFinalObjectives], [&] {
+        report.final_objectives = read_rows(r, scratch);
+      });
+    } else if (key == "designs") {
+      read_member(r, errors[kDesigns], [&] {
+        report.final_designs = read_designs(r, scratch);
+      });
+    } else if (key == "evaluations") {
+      read_member(r, errors[kEvaluations], [&] {
+        report.evaluations = static_cast<std::size_t>(read_u64_value(r));
+      });
+    } else if (key == "seconds") {
+      read_member(r, errors[kSeconds], [&] {
+        report.seconds = read_exact_value(r, scratch);
+      });
+    } else if (key == "provenance") {
+      read_member(r, errors[kProvenance], [&] {
+        report.provenance = read_provenance(r, scratch);
+      });
+    } else if (other_member) {
+      other_member(key, r);
+    } else {
+      r.skip();
+    }
+  }
+  rethrow_first(errors);
+  return report;
+}
+
+RunReport parse_report_json(std::string_view text) {
+  util::JsonReader reader(text);
+  RunReport report = read_report_json(reader);
+  reader.finish();
   return report;
 }
 

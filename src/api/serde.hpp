@@ -14,7 +14,9 @@
 // description and request_from_json never produces one.
 #pragma once
 
+#include <functional>
 #include <string>
+#include <string_view>
 
 #include "api/optimizer.hpp"
 #include "api/request.hpp"
@@ -42,5 +44,33 @@ util::Json report_to_json(const RunReport& report);
 
 /// JSON → report. Throws util::JsonError on malformed input.
 RunReport report_from_json(const util::Json& json);
+
+// Streaming report codec: the wire path's encoder and decoder, with no
+// util::Json tree in between. report_to_json / report_from_json above stay
+// the reference they are tested against.
+
+/// Appends exactly the bytes of report_to_json(report).dump().
+void append_report_json(std::string& out, const RunReport& report);
+/// The same bytes, as one value of a larger text being written.
+void write_report_json(util::JsonWriter& writer, const RunReport& report);
+
+/// report_from_json(util::Json::parse(text)) without the tree: the same
+/// report for every text that accepts, and a JsonError for every text it
+/// rejects.
+RunReport parse_report_json(std::string_view text);
+
+/// Reads a member of a report object that is not a report field: called
+/// with the key and the reader at the member's value, which it must
+/// consume. The key is invalid once the reader moves on.
+using OtherMemberReader =
+    std::function<void(std::string_view key, util::JsonReader& reader)>;
+
+/// Reads one report value from `reader`, as report_from_json reads it
+/// from a tree: a repeated key keeps its last value, a non-object where an
+/// object is read counts as absent, and the value is consumed whole before
+/// a JsonError for a wrong-shaped field is thrown. Members that are not
+/// report fields go to `other_member` when set, and are skipped otherwise.
+RunReport read_report_json(util::JsonReader& reader,
+                           const OtherMemberReader& other_member = {});
 
 }  // namespace moela::api

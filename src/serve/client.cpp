@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <exception>
 
 #include <netdb.h>
 #include <sys/socket.h>
@@ -17,6 +18,109 @@ namespace {
 using util::Json;
 
 }  // namespace
+
+std::optional<std::vector<api::RunReport>> read_run_reply(
+    std::string_view line, std::uint64_t id,
+    const std::vector<api::RunRequest>& requests, const std::string& where) {
+  using Kind = Json::Kind;
+  // The envelope's members count as a JsonObject counts them: the last of
+  // a repeated key. Entries decode in order until the first one that
+  // fails, which then stands for the whole reply; later entries are only
+  // checked to be well-formed JSON.
+  bool id_matches = false;
+  bool ok = false;
+  bool have_reports = false;
+  std::vector<api::RunReport> reports;
+  std::exception_ptr failure;
+  std::string scratch;
+  try {
+    util::JsonReader reader(line);
+    if (reader.peek() != Kind::kObject) return std::nullopt;
+    reader.begin_object();
+    std::string_view key;
+    while (reader.next_key(key)) {
+      if (key == "event") return std::nullopt;
+      if (key == "id") {
+        id_matches = false;
+        if (reader.peek() != Kind::kNumber) {
+          reader.skip();
+          continue;
+        }
+        const Json number = reader.read_number();
+        try {
+          id_matches = number.as_u64() == id;
+        } catch (const util::JsonError&) {
+          // Not a u64 (say 1.5): the tree path throws for it.
+        }
+      } else if (key == "ok") {
+        ok = false;
+        if (reader.peek() == Kind::kBool) {
+          ok = reader.read_bool();
+        } else {
+          reader.skip();
+        }
+      } else if (key == "reports") {
+        reports.clear();
+        failure = nullptr;
+        have_reports = reader.peek() == Kind::kArray;
+        if (!have_reports) {
+          reader.skip();
+          continue;
+        }
+        reader.begin_array();
+        for (std::size_t i = 0; reader.next_element(); ++i) {
+          if (failure) {
+            reader.skip();
+            continue;
+          }
+          // A run that failed on the daemon is an {"error":...} entry.
+          bool has_error = false;
+          std::optional<std::string> error;
+          const auto read_error = [&](std::string_view name,
+                                      util::JsonReader& r) {
+            if (name != "error") {
+              r.skip();
+              return;
+            }
+            has_error = true;
+            error.reset();
+            if (r.peek() == Kind::kString) {
+              error = std::string(r.read_string(scratch));
+            } else {
+              r.skip();
+            }
+          };
+          const util::JsonReader::Mark mark = reader.mark();
+          try {
+            reports.push_back(api::read_report_json(reader, read_error));
+          } catch (const util::JsonError&) {
+            reader.rewind(mark);
+            reader.skip();  // malformed text throws again, out of the loop
+            failure = std::current_exception();
+          }
+          if (!has_error) continue;
+          const std::string label =
+              i < requests.size() ? requests[i].label_or_default()
+                                  : util::dec(i);
+          failure = error.has_value()
+                        ? std::make_exception_ptr(RemoteError(
+                              where + ": run '" + label +
+                              "' failed: " + *error))
+                        : std::make_exception_ptr(util::JsonError(
+                              "Json: wanted string, have another kind"));
+        }
+      } else {
+        reader.skip();
+      }
+    }
+    reader.finish();
+  } catch (const util::JsonError&) {
+    return std::nullopt;  // malformed text: the tree path reports it
+  }
+  if (!id_matches || !ok || !have_reports) return std::nullopt;
+  if (failure) std::rethrow_exception(failure);
+  return reports;
+}
 
 Client::~Client() { disconnect(); }
 
@@ -72,8 +176,9 @@ void Client::disconnect() {
   reader_.reset();
 }
 
-Json Client::transact(Json message, const EventHandler& on_event,
-                      api::RunControl* control) {
+Json Client::transact(
+    Json message, const EventHandler& on_event, api::RunControl* control,
+    const std::function<bool(std::string_view line)>& take_final) {
   if (!connected()) {
     throw std::runtime_error(where() + ": not connected");
   }
@@ -110,6 +215,7 @@ Json Client::transact(Json message, const EventHandler& on_event,
     if (result == LineReader::ReadResult::kTimeout) continue;
     if (result == LineReader::ReadResult::kClosed) break;
     if (line.empty()) continue;
+    if (take_final && take_final(line)) return Json();
     std::string parse_error;
     const auto response = Json::try_parse(line, &parse_error);
     if (!response.has_value()) {
@@ -153,7 +259,16 @@ std::vector<api::RunReport> Client::run(
       .set("requests", std::move(requests_json))
       .set("progress", stream_progress)
       .set("priority", api::priority_name(priority));
-  const Json response = transact(std::move(message), on_event, control);
+  // The reply with reports is decoded straight from its line; every other
+  // line of the conversation is read as a tree.
+  const std::uint64_t id = last_run_id_;
+  std::optional<std::vector<api::RunReport>> reports;
+  const Json response = transact(
+      std::move(message), on_event, control, [&](std::string_view line) {
+        reports = read_run_reply(line, id, requests, where());
+        return reports.has_value();
+      });
+  if (reports.has_value()) return std::move(*reports);
   if (const Json* ok = response.find("ok"); ok == nullptr || !ok->as_bool()) {
     const Json* error = response.find("error");
     const std::string what =
@@ -170,24 +285,8 @@ std::vector<api::RunReport> Client::run(
     }
     throw RemoteError(what);
   }
-  const Json* reports_json = response.find("reports");
-  if (reports_json == nullptr || !reports_json->is_array()) {
-    throw RemoteError(where() + ": malformed response: missing 'reports'");
-  }
-  std::vector<api::RunReport> reports;
-  reports.reserve(reports_json->as_array().size());
-  for (std::size_t i = 0; i < reports_json->as_array().size(); ++i) {
-    const Json& entry = reports_json->as_array()[i];
-    if (const Json* error = entry.find("error")) {
-      const std::string label =
-          i < requests.size() ? requests[i].label_or_default()
-                              : util::dec(i);
-      throw RemoteError(where() + ": run '" + label +
-                        "' failed: " + error->as_string());
-    }
-    reports.push_back(api::report_from_json(entry));
-  }
-  return reports;
+  // read_run_reply takes every ok:true reply that carries a reports array.
+  throw RemoteError(where() + ": malformed response: missing 'reports'");
 }
 
 bool Client::cancel(std::uint64_t run_id) {

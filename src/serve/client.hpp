@@ -16,8 +16,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/optimizer.hpp"
@@ -53,6 +55,17 @@ class OverloadedError : public RemoteError {
   std::size_t queue_depth_ = 0;
   std::uint64_t retry_after_ms_ = 0;
 };
+
+/// Decodes a line of the conversation of `run` batch `id` straight from
+/// its text, with no util::Json tree, when it is the batch's reply with a
+/// "reports" array and "ok":true: returns the reports, or throws what the
+/// reply stands for (RemoteError for a failed run, named from `requests`;
+/// util::JsonError for a wrong-shaped entry). Returns nullopt for every
+/// other line (events, other ids' lines, malformed text, rejections),
+/// which Client::run reads as a tree. `where` prefixes error messages.
+std::optional<std::vector<api::RunReport>> read_run_reply(
+    std::string_view line, std::uint64_t id,
+    const std::vector<api::RunRequest>& requests, const std::string& where);
 
 class Client {
  public:
@@ -130,8 +143,13 @@ class Client {
   /// did) and reads lines until the matching final response; event lines
   /// go to `on_event`. With `control`, reads poll at a short cadence so a
   /// requested stop can interleave a cancel send mid-conversation.
-  util::Json transact(util::Json message, const EventHandler& on_event,
-                      api::RunControl* control = nullptr);
+  /// `take_final`, when set, is offered every line before it is parsed;
+  /// returning true ends the conversation with that line taken, and
+  /// transact then returns null.
+  util::Json transact(
+      util::Json message, const EventHandler& on_event,
+      api::RunControl* control = nullptr,
+      const std::function<bool(std::string_view line)>& take_final = {});
   /// "moela_serve client[host:port]" — the prefix of every error message.
   std::string where() const;
 

@@ -716,20 +716,28 @@ void Server::run_batch(std::shared_ptr<Connection> connection,
                        std::shared_ptr<api::RunControl> control_ptr) {
   const std::size_t batch_size = futures.size();
   const std::string priority_name = api::priority_name(priority);
-  Json reports = Json::array();
+  // The final response, make_ok(id) plus "reports", written as the runs
+  // finish: each report streams onto the line, no JSON tree in between.
+  std::string line;
+  util::JsonWriter writer(line);
+  writer.begin_object().key("id").number(id).key("ok").boolean(true);
+  writer.key("reports").begin_array();
   for (auto& future : futures) {
+    writer.slot();
+    const std::size_t entry_start = line.size();
     try {
       api::RunReport report = future.get();
       // Echo the class that carried the run — overwriting whatever a
       // cache hit replayed, so the echo always describes THIS request.
       report.provenance.priority = priority_name;
-      reports.append(api::report_to_json(report));
+      api::append_report_json(line, report);
     } catch (const std::exception& e) {
-      Json error = Json::object();
-      error.set("error", e.what());
-      reports.append(std::move(error));
+      line.resize(entry_start);  // drop a partly written report
+      util::JsonWriter(line).begin_object().key("error").string(e.what())
+          .end_object();
     }
   }
+  writer.end_array().end_object();
 
   // The batch has answered (reports collected): retire it from the
   // cancel registry — a later cancel for this id is the benign no-op.
@@ -753,11 +761,9 @@ void Server::run_batch(std::shared_ptr<Connection> connection,
   // observes its own finished batch as load.
   connection->inflight.fetch_sub(batch_size, std::memory_order_relaxed);
   inflight_total_.fetch_sub(batch_size, std::memory_order_relaxed);
-  Json response = make_ok(id);
-  response.set("reports", std::move(reports));
   {
     util::MutexLock lock(connection->write_mutex);
-    send_json(connection->fd, response);
+    send_line(connection->fd, line);
   }
 }
 

@@ -323,5 +323,89 @@ TEST(ReportSerde, WireBytesPinned) {
   EXPECT_LT(cases[4].report.evaluations, 4000u);
 }
 
+// --- the streaming codec -------------------------------------------------
+
+TEST(ReportSerde, StreamingEncoderWritesTheDomBytes) {
+  RunReport unknown_type;
+  unknown_type.final_designs.push_back(AnyDesign::wrap<int>(7));
+  const RunReport reports[] = {
+      run_report("zdt1", "nsga2"), run_report("knapsack", "moead"),
+      noc_report(),                cancelled_report(),
+      crafted_report(),            RunReport{},
+      unknown_type,
+  };
+  std::string line;
+  util::JsonWriter writer(line);
+  writer.begin_array();
+  std::string expected = "[";
+  for (const RunReport& report : reports) {
+    const std::string dom = report_to_json(report).dump();
+    std::string streamed;
+    append_report_json(streamed, report);
+    EXPECT_EQ(streamed, dom);
+    write_report_json(writer, report);
+    if (expected.size() > 1) expected += ',';
+    expected += dom;
+  }
+  writer.end_array();
+  EXPECT_EQ(line, expected + "]");
+}
+
+/// parse_report_json's outcome next to the DOM decoder's, as DOM bytes or
+/// "JsonError".
+std::string decode_outcome(bool streamed, const std::string& text) {
+  try {
+    const RunReport report = streamed
+                                 ? parse_report_json(text)
+                                 : report_from_json(Json::parse(text));
+    return report_to_json(report).dump();
+  } catch (const util::JsonError&) {
+    return "JsonError";
+  }
+}
+
+TEST(ReportSerde, StreamingDecoderMatchesDomOnRepeatedAndMistypedKeys) {
+  const std::string real = report_to_json(run_report("zdt1", "nsga2")).dump();
+  const struct {
+    std::string text;
+    bool accepted;
+  } cases[] = {
+      {real, true},
+      // A repeated key keeps its last value; an earlier bad one is moot.
+      {R"({"snapshots":"bad","snapshots":[{"evaluations":4}]})", true},
+      {R"({"snapshots":[{"evaluations":4}],"snapshots":"bad"})", false},
+      {R"({"provenance":{"seed":5},"provenance":{"problem":"p"}})", true},
+      {R"({"provenance":{"knobs":{"k":"x","k":"0x1p+0"}}})", true},
+      {R"({"evaluations":1.5,"evaluations":2})", true},
+      {R"({"designs":{"kind":7,"kind":"none","values":"x"}})", true},
+      // A non-object provenance, snapshot or report reads as absent.
+      {R"({"algorithm":"a","provenance":"string"})", true},
+      {R"({"snapshots":[1,"x",{"seconds":"0x1p-1"}]})", true},
+      {"[1,2]", true},
+      // "values" reads by the last "kind", in whichever order they come.
+      {R"({"designs":{"values":[["0x1p+0",2]],"kind":"real"}})", true},
+      {R"({"designs":{"kind":"binary","values":[[1,0]],"kind":"real"}})",
+       true},
+      {R"({"designs":{"kind":"real","values":[[true]],"kind":"none"}})",
+       true},
+      {R"({"designs":{"kind":"real","values":[[true]]}})", false},
+      {R"({"designs":{"kind":"bogus","values":[]}})", false},
+      {R"({"designs":{"kind":"noc","values":["garbage"]}})", false},
+      // Wrong shapes and malformed text.
+      {R"({"provenance":{"cache_hit":"yes"}})", false},
+      {R"({"final_front":[["0x1p+0"],"row"]})", false},
+      {R"({"algorithm":"a"} trailing)", false},
+      {R"({"unknown":[1,}]})", false},
+  };
+  for (const auto& c : cases) {
+    const std::string tree = decode_outcome(false, c.text);
+    EXPECT_EQ(decode_outcome(true, c.text), tree) << c.text;
+    EXPECT_EQ(tree != "JsonError", c.accepted) << c.text;
+  }
+  // The first repeated-key case kept the last snapshots, not the bad ones.
+  EXPECT_EQ(parse_report_json(cases[1].text).snapshots.size(), 1u);
+  EXPECT_EQ(parse_report_json(cases[3].text).provenance.seed, 0u);
+}
+
 }  // namespace
 }  // namespace moela::api
