@@ -222,6 +222,43 @@ void write_designs(JsonWriter& w, const std::vector<AnyDesign>& designs) {
   w.end_array().end_object();
 }
 
+void write_report(JsonWriter& w, const RunReport& report) {
+  const RunProvenance& p = report.provenance;
+  w.begin_object();
+  w.key("algorithm").string(report.algorithm);
+  w.key("designs");
+  write_designs(w, report.final_designs);
+  w.key("evaluations").number(static_cast<std::uint64_t>(report.evaluations));
+  w.key("final_front");
+  write_rows(w, report.final_front);
+  w.key("final_objectives");
+  write_rows(w, report.final_objectives);
+  w.key("provenance").begin_object();
+  w.key("algorithm_key").string(p.algorithm_key);
+  w.key("cache_hit").boolean(p.cache_hit);
+  w.key("cache_key").string(p.cache_key);
+  w.key("cancelled").boolean(p.cancelled);
+  w.key("knobs");
+  write_knobs(w, p.knobs);
+  w.key("priority").string(p.priority);
+  w.key("problem").string(p.problem);
+  w.key("seed").number(p.seed);
+  w.key("trace").string(p.trace_id);
+  w.end_object();
+  w.key("seconds").exact(report.seconds);
+  w.key("snapshots").begin_array();
+  for (const auto& s : report.snapshots) {
+    w.begin_object();
+    w.key("evaluations").number(static_cast<std::uint64_t>(s.evaluations));
+    w.key("front");
+    write_rows(w, s.front);
+    w.key("seconds").exact(s.seconds);
+    w.end_object();
+  }
+  w.end_array();
+  w.end_object();
+}
+
 /// Decodes one member's value with `decode`. When the value has the wrong
 /// shape it is skipped and the error kept in `error` until the object
 /// closes, so that a later duplicate of the key can clear it; malformed
@@ -650,46 +687,9 @@ RunReport report_from_json(const Json& json) {
   return report;
 }
 
-void write_report_json(util::JsonWriter& w, const RunReport& report) {
-  const RunProvenance& p = report.provenance;
-  w.begin_object();
-  w.key("algorithm").string(report.algorithm);
-  w.key("designs");
-  write_designs(w, report.final_designs);
-  w.key("evaluations").number(static_cast<std::uint64_t>(report.evaluations));
-  w.key("final_front");
-  write_rows(w, report.final_front);
-  w.key("final_objectives");
-  write_rows(w, report.final_objectives);
-  w.key("provenance").begin_object();
-  w.key("algorithm_key").string(p.algorithm_key);
-  w.key("cache_hit").boolean(p.cache_hit);
-  w.key("cache_key").string(p.cache_key);
-  w.key("cancelled").boolean(p.cancelled);
-  w.key("knobs");
-  write_knobs(w, p.knobs);
-  w.key("priority").string(p.priority);
-  w.key("problem").string(p.problem);
-  w.key("seed").number(p.seed);
-  w.key("trace").string(p.trace_id);
-  w.end_object();
-  w.key("seconds").exact(report.seconds);
-  w.key("snapshots").begin_array();
-  for (const auto& s : report.snapshots) {
-    w.begin_object();
-    w.key("evaluations").number(static_cast<std::uint64_t>(s.evaluations));
-    w.key("front");
-    write_rows(w, s.front);
-    w.key("seconds").exact(s.seconds);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 void append_report_json(std::string& out, const RunReport& report) {
   util::JsonWriter writer(out);
-  write_report_json(writer, report);
+  write_report(writer, report);
 }
 
 RunReport read_report_json(util::JsonReader& r,

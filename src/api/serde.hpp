@@ -51,8 +51,6 @@ RunReport report_from_json(const util::Json& json);
 
 /// Appends exactly the bytes of report_to_json(report).dump().
 void append_report_json(std::string& out, const RunReport& report);
-/// The same bytes, as one value of a larger text being written.
-void write_report_json(util::JsonWriter& writer, const RunReport& report);
 
 /// report_from_json(util::Json::parse(text)) without the tree: the same
 /// report for every text that accepts, and a JsonError for every text it

@@ -334,21 +334,11 @@ TEST(ReportSerde, StreamingEncoderWritesTheDomBytes) {
       crafted_report(),            RunReport{},
       unknown_type,
   };
-  std::string line;
-  util::JsonWriter writer(line);
-  writer.begin_array();
-  std::string expected = "[";
   for (const RunReport& report : reports) {
-    const std::string dom = report_to_json(report).dump();
-    std::string streamed;
+    std::string streamed = "prefix";
     append_report_json(streamed, report);
-    EXPECT_EQ(streamed, dom);
-    write_report_json(writer, report);
-    if (expected.size() > 1) expected += ',';
-    expected += dom;
+    EXPECT_EQ(streamed, "prefix" + report_to_json(report).dump());
   }
-  writer.end_array();
-  EXPECT_EQ(line, expected + "]");
 }
 
 /// parse_report_json's outcome next to the DOM decoder's, as DOM bytes or
