@@ -50,7 +50,7 @@ std::optional<std::vector<api::RunReport>> read_run_reply(
         try {
           id_matches = number.as_u64() == id;
         } catch (const util::JsonError&) {
-          // Not a u64 (say 1.5): the tree path throws for it.
+          id_matches = false;  // not a u64 (say 1.5): the tree path throws
         }
       } else if (key == "ok") {
         ok = false;
