@@ -6,10 +6,14 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cfloat>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -22,6 +26,7 @@
 #include "api/request.hpp"
 #include "api/result_cache.hpp"
 #include "api/run_log.hpp"
+#include "api/serde.hpp"
 #include "noc/design.hpp"
 #include "util/json.hpp"
 #include "util/thread_annotations.hpp"
@@ -409,6 +414,163 @@ TEST(ResultCacheSerialization, RoundTripsAwkwardDoubles) {
   // A different key (hash collision in disguise) reads as a miss.
   std::stringstream again(stream.str());
   EXPECT_FALSE(detail::read_report(again, "other-key").has_value());
+}
+
+// --- disk-byte pins -------------------------------------------------------
+// FNV-1a digests (ResultCache::hash_key) of the disk tier's entry text for
+// seeded reports of every design kind plus crafted hostile values. They
+// were generated from the iostream codec before it was replaced: whatever
+// writes an entry must keep these bytes, so existing cache directories keep
+// hitting. The helpers go through ResultCache's public API only, so the
+// pins hold whatever the codec's internal signatures look like.
+
+/// A scratch cache directory, emptied on entry and removed on exit.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& name)
+      : path_(std::filesystem::path(testing::TempDir()) / name) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+  const std::filesystem::path& path() const { return path_; }
+  std::string str() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+std::filesystem::path entry_path(const ScratchDir& dir,
+                                 const std::string& key) {
+  return dir.path() / (ResultCache::hash_key(key) + ".moela");
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The entry text a ResultCache writes for `report` under `key`.
+std::string disk_text(const std::string& key, const RunReport& report) {
+  ScratchDir dir("moela-disk-text");
+  ResultCache(dir.str()).store(key, report);
+  return file_bytes(entry_path(dir, key));
+}
+
+/// What a fresh process's ResultCache reads from an entry file holding
+/// `text`.
+std::optional<RunReport> read_entry(const std::string& key,
+                                    const std::string& text) {
+  ScratchDir dir("moela-read-entry");
+  std::filesystem::create_directories(dir.path());
+  std::ofstream(entry_path(dir, key), std::ios::binary) << text;
+  return ResultCache(dir.str()).lookup(key);
+}
+
+/// `report` as a disk hit returns it, in tree-codec bytes.
+std::string as_disk_hit(RunReport report, const std::string& key) {
+  report.provenance.cache_key = key;
+  report.provenance.cache_hit = true;
+  return report_to_json(report).dump();
+}
+
+/// Pins a real run's wall-clock fields so its bytes are reproducible.
+RunReport with_fixed_seconds(RunReport report) {
+  report.seconds = 1.0 / 3.0;
+  for (std::size_t i = 0; i < report.snapshots.size(); ++i) {
+    report.snapshots[i].seconds = 0.125 * static_cast<double>(i + 1);
+  }
+  return report;
+}
+
+/// A seeded run of `problem` (NoC: small_3x3x3, 3 objectives).
+RunReport seeded_report(const std::string& problem,
+                        const std::string& algorithm) {
+  RunRequest request = zdt1_request(algorithm);
+  request.problem = problem;
+  if (problem == "noc") {
+    request.problem_options.small_platform = true;
+    request.problem_options.num_objectives = 3;
+    request.options.max_evaluations = 240;
+    request.options.snapshot_interval = 80;
+    request.need_designs = true;
+  }
+  Executor executor({.jobs = 1});
+  return with_fixed_seconds(executor.run_all({request}).front());
+}
+
+RunReport crafted_disk_report() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  RunReport report;
+  report.algorithm = "Crafted  Name With Spaces ";
+  report.snapshots.push_back(
+      {7, -0.0, {{-0.0, 0x1p-1074}, {DBL_MAX, -DBL_MAX}}});
+  report.snapshots.push_back({9, inf, {}});
+  report.final_front = {{-0.0, 0x1p-1074, DBL_MAX},
+                        {inf, -inf, nan},
+                        {-nan, 1.0 / 3.0, -2.5e-300}};
+  report.final_objectives = {{nan, -inf}, {0x1p-1074, -0.0}};
+  report.final_designs = {
+      AnyDesign::wrap<std::vector<double>>({-0.0, inf, -nan, DBL_MAX}),
+      AnyDesign::wrap<std::vector<double>>({}),
+  };
+  report.evaluations = 18446744073709551615ull;
+  report.seconds = nan;
+  RunProvenance& p = report.provenance;
+  p.problem = "zdt1";
+  p.algorithm_key = "moela";
+  p.seed = (1ull << 63) + 5;
+  p.knobs = {{"neg.zero", -0.0}, {"denormal", 0x1p-1074},
+             {"max", DBL_MAX},   {"inf", inf},
+             {"minus.inf", -inf}, {"nan", nan}};
+  return report;
+}
+
+struct PinnedEntry {
+  const char* name;
+  RunReport report;
+  const char* digest;
+};
+
+std::vector<PinnedEntry> pinned_entries() {
+  RunReport no_designs = seeded_report("zdt1", "moead");
+  no_designs.final_designs.clear();
+  return {
+      {"zdt1/nsga2", seeded_report("zdt1", "nsga2"), "527091322c4066a8"},
+      {"knapsack/moead", seeded_report("knapsack", "moead"),
+       "fa42c989b70f57d1"},
+      {"noc/nsga2", seeded_report("noc", "nsga2"), "491fff38b5f59f42"},
+      {"noc/moela", seeded_report("noc", "moela"), "9af5a92a54f34a1a"},
+      {"no designs", no_designs, "35377b5076b20a1b"},
+      {"crafted", crafted_disk_report(), "91b7e9e255babab4"},
+  };
+}
+
+TEST(ResultCacheSerialization, DiskBytesPinned) {
+  const auto entries = pinned_entries();
+  for (const PinnedEntry& entry : entries) {
+    const std::string key = std::string("pin|") + entry.name;
+    const std::string text = disk_text(key, entry.report);
+    EXPECT_EQ(ResultCache::hash_key(text), entry.digest)
+        << entry.name << " (" << text.size() << " bytes)";
+    const auto back = read_entry(key, text);
+    ASSERT_TRUE(back.has_value()) << entry.name;
+    EXPECT_EQ(report_to_json(*back).dump(), as_disk_hit(entry.report, key))
+        << entry.name;
+  }
+  // The seeded reports really carry what their names claim.
+  EXPECT_EQ(entries[0].report.final_designs.front().type(),
+            typeid(std::vector<double>));
+  EXPECT_EQ(entries[1].report.final_designs.front().type(),
+            typeid(std::vector<std::uint8_t>));
+  EXPECT_EQ(entries[2].report.final_designs.front().type(),
+            typeid(noc::NocDesign));
+  EXPECT_EQ(entries[3].report.final_designs.front().type(),
+            typeid(noc::NocDesign));
+  EXPECT_TRUE(entries[4].report.final_designs.empty());
+  EXPECT_FALSE(entries[0].report.snapshots.empty());
+  EXPECT_FALSE(entries[0].report.provenance.knobs.empty());
 }
 
 // --- Knob-key declarations ------------------------------------------------
