@@ -1,18 +1,14 @@
 #include "api/executor.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <filesystem>
-#include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <utility>
-
-#include <unistd.h>
 
 #include "api/registry.hpp"
 #include "api/run_log.hpp"
 #include "api/snapshot.hpp"
+#include "util/file.hpp"
 #include "util/timer.hpp"
 
 namespace moela::api {
@@ -35,12 +31,10 @@ std::string snapshot_file(const std::string& dir,
 /// run starts fresh: a stale snapshot must never poison a result.
 std::shared_ptr<const RunSnapshot> load_snapshot_file(
     const std::string& path, const std::string& fingerprint) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;
-  const std::string text((std::istreambuf_iterator<char>(in)),
-                         std::istreambuf_iterator<char>());
+  const auto text = util::read_file(path);
+  if (!text) return nullptr;
   try {
-    RunSnapshot snapshot = snapshot_from_text(text);
+    RunSnapshot snapshot = snapshot_from_text(*text);
     if (snapshot.fingerprint != fingerprint) return nullptr;
     return std::make_shared<const RunSnapshot>(std::move(snapshot));
   } catch (const std::exception&) {
@@ -48,33 +42,13 @@ std::shared_ptr<const RunSnapshot> load_snapshot_file(
   }
 }
 
-/// Atomic persistence, same discipline as the ResultCache disk tier:
-/// write a uniquely named temp file, rename into place — a reader (or a
-/// crash) never observes a half-written snapshot.
+/// Atomic persistence, same discipline as the ResultCache disk tier: a
+/// reader (or a crash) never observes a half-written snapshot.
 bool write_snapshot_file(const std::string& path,
                          const RunSnapshot& snapshot) {
-  static std::atomic<std::uint64_t> write_counter{0};
   std::error_code ec;
   fs::create_directories(fs::path(path).parent_path(), ec);
-  const std::string temp = path + ".tmp." + util::dec(::getpid()) + "." +
-                           util::dec(write_counter.fetch_add(1));
-  {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    const std::string text = snapshot_to_text(snapshot);
-    out.write(text.data(), static_cast<std::streamsize>(text.size()));
-    if (!out) {
-      out.close();
-      fs::remove(temp, ec);
-      return false;
-    }
-  }
-  fs::rename(temp, path, ec);
-  if (ec) {
-    fs::remove(temp, ec);
-    return false;
-  }
-  return true;
+  return util::write_file_atomic(path, snapshot_to_text(snapshot));
 }
 
 std::size_t class_index(Priority priority) {

@@ -93,14 +93,6 @@ struct RunRequest {
 std::vector<RunRequest> expand_replicates(const RunRequest& base,
                                           std::size_t replicates);
 
-namespace detail {
-/// Exact, locale-independent rendering of a double (hexfloat). Kept as an
-/// alias so cache-key call sites read as "the exact rendering".
-inline std::string exact_double(double value) {
-  return util::hexfloat(value);
-}
-}  // namespace detail
-
 inline std::string RunRequest::cache_key() const {
   if (problem.empty()) return {};
   std::string key = "moela-run-v" + util::dec(kCacheSchemaVersion);
@@ -112,7 +104,7 @@ inline std::string RunRequest::cache_key() const {
   key += std::string("|small=") + (problem_options.small_platform ? "1" : "0");
   key += "|algorithm=" + algorithm;
   key += "|evals=" + util::dec(options.max_evaluations);
-  key += "|seconds=" + detail::exact_double(options.max_seconds);
+  key += "|seconds=" + util::hexfloat(options.max_seconds);
   key += "|snapshot=" + util::dec(options.snapshot_interval);
   key += "|seed=" + util::dec(options.seed);
   key += "|pop=" + util::dec(options.population_size);
@@ -124,7 +116,7 @@ inline std::string RunRequest::cache_key() const {
   for (const auto& [name, value] : options.knobs.values()) {
     if (!first) key += ",";
     first = false;
-    key += name + "=" + detail::exact_double(value);
+    key += name + "=" + util::hexfloat(value);
   }
   return key;
 }

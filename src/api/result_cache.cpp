@@ -1,279 +1,315 @@
 #include "api/result_cache.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
-#include <istream>
-#include <ostream>
-#include <sstream>
+#include <concepts>
+#include <limits>
+#include <string_view>
 #include <vector>
 
-#include <unistd.h>
-
-#include "api/request.hpp"
-#include "util/numeric.hpp"
 #include "noc/design.hpp"
 #include "noc/io.hpp"
+#include "util/file.hpp"
+#include "util/numeric.hpp"
 
 namespace moela::api {
 namespace {
 
 namespace fs = std::filesystem;
 
-// The one canonical double rendering (hexfloat), shared with the cache-key
-// builder so keys and serialized reports can never disagree on a value.
-using detail::exact_double;
+// ------------------------------------------------------------------ writer
+// Doubles are hexfloats (util::append_hexfloat, the rendering cache keys
+// use) and integers go through util::dec, so no locale reaches the bytes.
 
-/// Parses a hexfloat (or decimal) token, locale-independently.
-bool parse_double(const std::string& token, double& out) {
-  return util::parse_double(token, out);
+void put_one(std::string& out, std::string_view text) { out += text; }
+void put_one(std::string& out, char c) { out += c; }
+void put_one(std::string& out, double value) {
+  util::append_hexfloat(out, value);
+}
+template <std::unsigned_integral T>
+void put_one(std::string& out, T value) { out += util::dec(value); }
+
+/// Appends each piece: text as is, integers in decimal, doubles as
+/// hexfloats.
+template <typename... Pieces>
+void put(std::string& out, const Pieces&... pieces) {
+  (put_one(out, pieces), ...);
 }
 
-void write_rows(std::ostream& os,
-                const std::vector<moo::ObjectiveVector>& rows) {
+/// "<rows> <width>\n", then each row's values one space apart.
+void put_rows(std::string& out,
+              const std::vector<moo::ObjectiveVector>& rows) {
+  put(out, rows.size(), ' ', rows.empty() ? 0 : rows.front().size(), '\n');
   for (const auto& row : rows) {
     for (std::size_t i = 0; i < row.size(); ++i) {
-      os << (i == 0 ? "" : " ") << exact_double(row[i]);
+      put(out, i == 0 ? "" : " ", row[i]);
     }
-    os << '\n';
+    out += '\n';
   }
 }
 
-bool read_rows(std::istream& is, std::size_t count, std::size_t width,
-               std::vector<moo::ObjectiveVector>& out) {
-  out.reserve(count);
-  for (std::size_t r = 0; r < count; ++r) {
-    moo::ObjectiveVector row(width);
-    for (std::size_t i = 0; i < width; ++i) {
-      std::string token;
-      if (!(is >> token) || !parse_double(token, row[i])) return false;
+/// "<size> <value>...\n" per design.
+template <typename T>
+void put_vectors(std::string& out, const std::vector<AnyDesign>& designs) {
+  for (const auto& d : designs) {
+    const auto& values = d.as<std::vector<T>>();
+    put(out, values.size());
+    for (const T value : values) put(out, ' ', value);
+    out += '\n';
+  }
+}
+
+// Codec for the library's design types. Unknown types serialize as "none"
+// (the report is still useful for fronts/traces; lookups that need designs
+// reject it).
+void put_designs(std::string& out, const std::vector<AnyDesign>& designs) {
+  const std::type_info& t =
+      designs.empty() ? typeid(void) : designs.front().type();
+  if (t == typeid(std::vector<double>)) {
+    put(out, "designs real ", designs.size(), '\n');
+    put_vectors<double>(out, designs);
+  } else if (t == typeid(std::vector<std::uint8_t>)) {
+    put(out, "designs binary ", designs.size(), '\n');
+    put_vectors<std::uint8_t>(out, designs);
+  } else if (t == typeid(noc::NocDesign)) {
+    put(out, "designs noc ", designs.size(), '\n');
+    for (const auto& d : designs) {
+      out += noc::design_to_string(d.as<noc::NocDesign>());
     }
+  } else {
+    out += "designs none 0\n";
+  }
+}
+
+// ------------------------------------------------------------------ reader
+
+/// Reads an entry line by line. Every line ends in '\n' and holds exactly
+/// the fields the writer wrote, one space apart; the readers below turn any
+/// other text into a miss.
+class EntryReader {
+ public:
+  explicit EntryReader(std::string_view text) : rest_(text) {}
+
+  /// Moves to the next line; false when no whole line is left.
+  bool next_line() {
+    const std::size_t end = rest_.find('\n');
+    if (end == std::string_view::npos) return false;
+    line_ = rest_.substr(0, end);
+    rest_.remove_prefix(end + 1);
+    open_ = !line_.empty();
+    return true;
+  }
+  /// Moves to the next line and takes its first field, which must be `tag`.
+  bool next_line(std::string_view tag) {
+    std::string_view first;
+    return next_line() && field(first) && first == tag;
+  }
+
+  /// Takes the current line's next field; false when none is left or it is
+  /// empty (two spaces in a row, a space at the end).
+  bool field(std::string_view& out) {
+    if (!open_) return false;
+    const std::size_t end = line_.find(' ');
+    out = line_.substr(0, end);
+    if (end == std::string_view::npos) {
+      open_ = false;
+    } else {
+      line_.remove_prefix(end + 1);
+    }
+    return !out.empty();
+  }
+  /// Takes the next field as a decimal number that must fit `out`.
+  template <std::unsigned_integral T>
+  bool field(T& out) {
+    std::string_view token;
+    std::uint64_t value = 0;
+    if (!field(token) || !util::parse_u64(token, value) ||
+        value > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    out = static_cast<T>(value);
+    return true;
+  }
+  bool field(double& out) {
+    std::string_view token;
+    return field(token) && util::parse_double(token, out);
+  }
+  /// Takes the rest of the current line, spaces and all; false when the
+  /// line has nothing left, not even the space after a tag.
+  bool rest_of_line(std::string_view& out) {
+    if (!open_) return false;
+    out = line_;
+    open_ = false;
+    return true;
+  }
+  /// True when the current line has no field left.
+  bool line_done() const { return !open_; }
+
+  /// The text after the current line, for a sub-reader to consume.
+  std::string_view& rest() { return rest_; }
+
+ private:
+  std::string_view rest_;
+  std::string_view line_;
+  bool open_ = false;
+};
+
+/// Reads a "<tag> <value>" line, `-` standing for an empty name.
+bool read_name(EntryReader& in, std::string_view tag, std::string& out) {
+  std::string_view value;
+  if (!in.next_line(tag) || !in.field(value) || !in.line_done()) return false;
+  out = value == "-" ? std::string() : std::string(value);
+  return true;
+}
+
+/// Reads a "<tag> <number>" line.
+template <typename T>
+bool read_tagged(EntryReader& in, std::string_view tag, T& out) {
+  return in.next_line(tag) && in.field(out) && in.line_done();
+}
+
+/// Reads the `count` values that end the current line.
+template <typename T>
+bool read_values(EntryReader& in, std::size_t count, std::vector<T>& out) {
+  for (std::size_t i = 0; i < count; ++i) {
+    T value{};
+    if (!in.field(value)) return false;
+    out.push_back(value);
+  }
+  return in.line_done();
+}
+
+/// Reads the "<rows> <width>" fields that end the current line, then the
+/// rows.
+bool read_rows(EntryReader& in, std::vector<moo::ObjectiveVector>& out) {
+  std::size_t rows = 0, width = 0;
+  if (!in.field(rows) || !in.field(width) || !in.line_done()) return false;
+  for (std::size_t r = 0; r < rows; ++r) {
+    moo::ObjectiveVector row;
+    if (!in.next_line() || !read_values(in, width, row)) return false;
     out.push_back(std::move(row));
   }
   return true;
 }
 
-/// Reads `tag <value>` and fails unless the tag matches.
-bool read_tagged(std::istream& is, const char* tag, std::string& value) {
-  std::string got;
-  return (is >> got >> value) && got == tag;
-}
-
-bool read_tagged_size(std::istream& is, const char* tag, std::size_t& value) {
-  std::string token;
-  if (!read_tagged(is, tag, token)) return false;
-  std::uint64_t parsed = 0;
-  if (!util::parse_u64(token, parsed)) return false;
-  value = static_cast<std::size_t>(parsed);
+template <typename T>
+bool read_vectors(EntryReader& in, std::size_t count,
+                  std::vector<AnyDesign>& out) {
+  for (std::size_t k = 0; k < count; ++k) {
+    std::vector<T> values;
+    std::size_t size = 0;
+    if (!in.next_line() || !in.field(size) || !read_values(in, size, values)) {
+      return false;
+    }
+    out.push_back(AnyDesign::wrap<std::vector<T>>(std::move(values)));
+  }
   return true;
 }
 
-// ---------------------------------------------------------------- designs
-// Codec for the library's design types. Unknown types serialize as "none"
-// (the report is still useful for fronts/traces; lookups that need designs
-// reject it).
-
-enum class DesignKind { kNone, kReal, kBinary, kNoc };
-
-DesignKind design_kind(const std::vector<AnyDesign>& designs) {
-  if (designs.empty()) return DesignKind::kNone;
-  const std::type_info& t = designs.front().type();
-  if (t == typeid(std::vector<double>)) return DesignKind::kReal;
-  if (t == typeid(std::vector<std::uint8_t>)) return DesignKind::kBinary;
-  if (t == typeid(noc::NocDesign)) return DesignKind::kNoc;
-  return DesignKind::kNone;
-}
-
-void write_designs(std::ostream& os, const std::vector<AnyDesign>& designs) {
-  switch (design_kind(designs)) {
-    case DesignKind::kReal:
-      os << "designs real " << designs.size() << '\n';
-      for (const auto& d : designs) {
-        const auto& v = d.as<std::vector<double>>();
-        os << v.size();
-        for (double x : v) os << ' ' << exact_double(x);
-        os << '\n';
-      }
-      break;
-    case DesignKind::kBinary:
-      os << "designs binary " << designs.size() << '\n';
-      for (const auto& d : designs) {
-        const auto& v = d.as<std::vector<std::uint8_t>>();
-        os << v.size();
-        for (unsigned x : v) os << ' ' << x;
-        os << '\n';
-      }
-      break;
-    case DesignKind::kNoc:
-      os << "designs noc " << designs.size() << '\n';
-      for (const auto& d : designs) {
-        noc::write_design(os, d.as<noc::NocDesign>());
-      }
-      break;
-    case DesignKind::kNone:
-      os << "designs none 0\n";
-      break;
-  }
-}
-
-bool read_designs(std::istream& is, std::vector<AnyDesign>& out) {
-  std::string tag, kind;
+bool read_designs(EntryReader& in, std::vector<AnyDesign>& out) {
+  std::string_view kind;
   std::size_t count = 0;
-  if (!(is >> tag >> kind >> count) || tag != "designs") return false;
-  out.reserve(count);
-  if (kind == "none") return true;
-  if (kind == "real") {
+  if (!in.next_line("designs") || !in.field(kind) || !in.field(count) ||
+      !in.line_done()) {
+    return false;
+  }
+  if (kind == "none") return count == 0;
+  if (kind == "real") return read_vectors<double>(in, count, out);
+  if (kind == "binary") return read_vectors<std::uint8_t>(in, count, out);
+  if (kind != "noc") return false;
+  try {
     for (std::size_t k = 0; k < count; ++k) {
-      std::size_t n = 0;
-      if (!(is >> n)) return false;
-      std::vector<double> v(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        std::string token;
-        if (!(is >> token) || !parse_double(token, v[i])) return false;
-      }
-      out.push_back(AnyDesign::wrap<std::vector<double>>(std::move(v)));
+      out.push_back(
+          AnyDesign::wrap<noc::NocDesign>(noc::read_design(in.rest())));
     }
-    return true;
+  } catch (const std::exception&) {
+    return false;
   }
-  if (kind == "binary") {
-    for (std::size_t k = 0; k < count; ++k) {
-      std::size_t n = 0;
-      if (!(is >> n)) return false;
-      std::vector<std::uint8_t> v(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        unsigned x = 0;
-        if (!(is >> x)) return false;
-        v[i] = static_cast<std::uint8_t>(x);
-      }
-      out.push_back(AnyDesign::wrap<std::vector<std::uint8_t>>(std::move(v)));
-    }
-    return true;
-  }
-  if (kind == "noc") {
-    is.ignore();  // consume the newline before line-oriented parsing
-    try {
-      for (std::size_t k = 0; k < count; ++k) {
-        out.push_back(AnyDesign::wrap<noc::NocDesign>(noc::read_design(is)));
-      }
-    } catch (const std::exception&) {
-      return false;
-    }
-    return true;
-  }
-  return false;
+  return true;
 }
 
 }  // namespace
 
 namespace detail {
 
-void write_report(std::ostream& os, const std::string& key,
+void write_report(std::string& out, const std::string& key,
                   const RunReport& report) {
-  os << "moela-report v1\n";
-  os << "key " << key << '\n';
-  os << "algorithm " << report.algorithm << '\n';
   const RunProvenance& p = report.provenance;
-  os << "problem " << (p.problem.empty() ? "-" : p.problem) << '\n';
-  os << "algorithm_key "
-     << (p.algorithm_key.empty() ? "-" : p.algorithm_key) << '\n';
-  os << "seed " << p.seed << '\n';
-  os << "evaluations " << report.evaluations << '\n';
-  os << "seconds " << exact_double(report.seconds) << '\n';
-  os << "knobs " << p.knobs.size() << '\n';
-  for (const auto& [name, value] : p.knobs) {
-    os << name << ' ' << exact_double(value) << '\n';
-  }
-  os << "snapshots " << report.snapshots.size() << '\n';
+  put(out, "moela-report v1\nkey ", key, "\nalgorithm ", report.algorithm,
+      "\nproblem ", p.problem.empty() ? "-" : p.problem, "\nalgorithm_key ",
+      p.algorithm_key.empty() ? "-" : p.algorithm_key, "\nseed ", p.seed,
+      "\nevaluations ", report.evaluations, "\nseconds ", report.seconds,
+      "\nknobs ", p.knobs.size(), '\n');
+  for (const auto& [name, value] : p.knobs) put(out, name, ' ', value, '\n');
+  put(out, "snapshots ", report.snapshots.size(), '\n');
   for (const auto& s : report.snapshots) {
-    const std::size_t width = s.front.empty() ? 0 : s.front.front().size();
-    os << "snapshot " << s.evaluations << ' ' << exact_double(s.seconds)
-       << ' ' << s.front.size() << ' ' << width << '\n';
-    write_rows(os, s.front);
+    put(out, "snapshot ", s.evaluations, ' ', s.seconds, ' ');
+    put_rows(out, s.front);
   }
-  const std::size_t front_width =
-      report.final_front.empty() ? 0 : report.final_front.front().size();
-  os << "front " << report.final_front.size() << ' ' << front_width << '\n';
-  write_rows(os, report.final_front);
-  const std::size_t obj_width = report.final_objectives.empty()
-                                    ? 0
-                                    : report.final_objectives.front().size();
-  os << "objectives " << report.final_objectives.size() << ' ' << obj_width
-     << '\n';
-  write_rows(os, report.final_objectives);
-  write_designs(os, report.final_designs);
+  out += "front ";
+  put_rows(out, report.final_front);
+  out += "objectives ";
+  put_rows(out, report.final_objectives);
+  put_designs(out, report.final_designs);
 }
 
-std::optional<RunReport> read_report(std::istream& is,
+std::optional<RunReport> read_report(std::string_view text,
                                      const std::string& key) {
-  std::string line;
-  if (!std::getline(is, line) || line != "moela-report v1") {
+  // A cut-short entry (a crash or a full disk mid-write) lacks the final
+  // newline or whole lines; either way it is a miss.
+  if (text.empty() || text.back() != '\n') return std::nullopt;
+  EntryReader in(text);
+  std::string_view line;
+  if (!in.next_line() || !in.rest_of_line(line) || line != "moela-report v1") {
     return std::nullopt;
   }
-  if (!std::getline(is, line) || line.rfind("key ", 0) != 0 ||
-      line.substr(4) != key) {
-    return std::nullopt;  // hash collision or truncated file: a miss
+  // The embedded key turns a hash collision into a miss.
+  if (!in.next_line("key") || !in.rest_of_line(line) || line != key) {
+    return std::nullopt;
   }
   RunReport report;
-  if (!std::getline(is, line) || line.rfind("algorithm ", 0) != 0) {
+  if (!in.next_line("algorithm") || !in.rest_of_line(line)) {
     return std::nullopt;
   }
-  report.algorithm = line.substr(std::strlen("algorithm "));
-
+  report.algorithm = line;
   RunProvenance& p = report.provenance;
-  std::string token;
-  if (!read_tagged(is, "problem", token)) return std::nullopt;
-  p.problem = token == "-" ? "" : token;
-  if (!read_tagged(is, "algorithm_key", token)) return std::nullopt;
-  p.algorithm_key = token == "-" ? "" : token;
-  if (!read_tagged(is, "seed", token)) return std::nullopt;
-  if (!util::parse_u64(token, p.seed)) p.seed = 0;
-  if (!read_tagged_size(is, "evaluations", report.evaluations)) {
-    return std::nullopt;
-  }
-  if (!read_tagged(is, "seconds", token) ||
-      !parse_double(token, report.seconds)) {
-    return std::nullopt;
-  }
   std::size_t knob_count = 0;
-  if (!read_tagged_size(is, "knobs", knob_count)) return std::nullopt;
+  if (!read_name(in, "problem", p.problem) ||
+      !read_name(in, "algorithm_key", p.algorithm_key) ||
+      !read_tagged(in, "seed", p.seed) ||
+      !read_tagged(in, "evaluations", report.evaluations) ||
+      !read_tagged(in, "seconds", report.seconds) ||
+      !read_tagged(in, "knobs", knob_count)) {
+    return std::nullopt;
+  }
   for (std::size_t k = 0; k < knob_count; ++k) {
-    std::string name;
+    std::string_view name;
     double value = 0.0;
-    if (!(is >> name >> token) || !parse_double(token, value)) {
+    if (!in.next_line() || !in.field(name) || !in.field(value) ||
+        !in.line_done()) {
       return std::nullopt;
     }
-    p.knobs[name] = value;
+    p.knobs[std::string(name)] = value;
   }
   std::size_t snapshot_count = 0;
-  if (!read_tagged_size(is, "snapshots", snapshot_count)) return std::nullopt;
-  report.snapshots.reserve(snapshot_count);
+  if (!read_tagged(in, "snapshots", snapshot_count)) return std::nullopt;
   for (std::size_t k = 0; k < snapshot_count; ++k) {
     core::ArchiveSnapshot s;
-    std::size_t rows = 0, width = 0;
-    std::string tag;
-    if (!(is >> tag >> s.evaluations >> token) || tag != "snapshot" ||
-        !parse_double(token, s.seconds) || !(is >> rows >> width) ||
-        !read_rows(is, rows, width, s.front)) {
+    if (!in.next_line("snapshot") || !in.field(s.evaluations) ||
+        !in.field(s.seconds) || !read_rows(in, s.front)) {
       return std::nullopt;
     }
     report.snapshots.push_back(std::move(s));
   }
-  std::size_t rows = 0, width = 0;
-  std::string tag;
-  if (!(is >> tag >> rows >> width) || tag != "front" ||
-      !read_rows(is, rows, width, report.final_front)) {
+  if (!in.next_line("front") || !read_rows(in, report.final_front) ||
+      !in.next_line("objectives") ||
+      !read_rows(in, report.final_objectives) ||
+      !read_designs(in, report.final_designs) || !in.rest().empty()) {
     return std::nullopt;
   }
-  if (!(is >> tag >> rows >> width) || tag != "objectives" ||
-      !read_rows(is, rows, width, report.final_objectives)) {
-    return std::nullopt;
-  }
-  if (!read_designs(is, report.final_designs)) return std::nullopt;
   p.cache_key = key;
   return report;
 }
@@ -339,9 +375,8 @@ std::optional<RunReport> ResultCache::lookup(const std::string& key,
   }
   if (!dir_.empty()) {
     const fs::path path = fs::path(dir_) / (hash_key(key) + ".moela");
-    std::ifstream in(path);
-    if (in) {
-      auto report = detail::read_report(in, key);
+    if (const auto text = util::read_file(path.string())) {
+      auto report = detail::read_report(*text, key);
       if (report.has_value() &&
           (!need_designs || !report->final_designs.empty())) {
         report->provenance.cache_hit = true;
@@ -375,32 +410,13 @@ void ResultCache::store(const std::string& key, const RunReport& report) {
   std::error_code ec;
   fs::create_directories(dir_, ec);
   if (ec) return;  // cache is best-effort: an unwritable dir is not an error
-  const std::string stem = hash_key(key);
-  const fs::path final_path = fs::path(dir_) / (stem + ".moela");
-  // Unique temp per process and per write so concurrent writers (threads
-  // storing the same key, or separate processes) never interleave; rename()
-  // makes the publish atomic on POSIX.
-  static std::atomic<std::uint64_t> write_counter{0};
-  std::ostringstream temp_name;
-  temp_name << stem << ".tmp." << ::getpid() << "."
-            << write_counter.fetch_add(1, std::memory_order_relaxed);
-  const fs::path temp_path = fs::path(dir_) / temp_name.str();
-  {
-    std::ofstream out(temp_path);
-    if (!out) return;
-    detail::write_report(out, key, report);
-    if (!out) {
-      out.close();
-      fs::remove(temp_path, ec);
-      return;
-    }
+  const std::string name = hash_key(key) + ".moela";
+  std::string text;
+  detail::write_report(text, key, report);
+  if (util::write_file_atomic((fs::path(dir_) / name).string(), text) &&
+      max_disk_bytes() > 0) {
+    enforce_disk_cap(name);
   }
-  fs::rename(temp_path, final_path, ec);
-  if (ec) {
-    fs::remove(temp_path, ec);
-    return;
-  }
-  if (max_disk_bytes() > 0) enforce_disk_cap(stem + ".moela");
 }
 
 void ResultCache::enforce_disk_cap(const std::string& keep) {
@@ -418,7 +434,7 @@ void ResultCache::enforce_disk_cap(const std::string& keep) {
   for (fs::directory_iterator it(dir_, ec), end; !ec && it != end;
        it.increment(ec)) {
     const fs::path& path = it->path();
-    if (path.extension() != ".moela") continue;  // temp files age out fast
+    if (path.extension() != ".moela") continue;  // not temp files
     Entry entry{path, it->last_write_time(ec), it->file_size(ec)};
     if (ec) return;  // racing another process; try again next store
     total += entry.size;

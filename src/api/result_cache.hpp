@@ -24,10 +24,10 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "api/optimizer.hpp"
 #include "util/metrics.hpp"
@@ -122,13 +122,16 @@ class ResultCache {
 };
 
 namespace detail {
-/// Text serialization used by the disk tier (exposed for tests). `key` is
-/// embedded so a hash collision reads as a miss, never as a wrong hit.
-void write_report(std::ostream& os, const std::string& key,
+/// Text serialization used by the disk tier (exposed for tests): appends the
+/// entry for `report` to `out`. `key` is embedded so a hash collision reads
+/// as a miss, never as a wrong hit.
+void write_report(std::string& out, const std::string& key,
                   const RunReport& report);
-/// Parses a serialized report; nullopt when malformed or when the embedded
-/// key differs from `key`.
-std::optional<RunReport> read_report(std::istream& is, const std::string& key);
+/// Parses an entry; nullopt when it is not exactly what write_report writes
+/// (cut short, anything after the final newline, a malformed field) or when
+/// the embedded key differs from `key`.
+std::optional<RunReport> read_report(std::string_view text,
+                                     const std::string& key);
 }  // namespace detail
 
 }  // namespace moela::api

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <sstream>
 #include <utility>
 #include <vector>
 
@@ -112,9 +111,7 @@ Json designs_to_json(const std::vector<AnyDesign>& designs) {
   }
   if (t == typeid(noc::NocDesign)) {
     for (const auto& d : designs) {
-      std::ostringstream os;
-      noc::write_design(os, d.as<noc::NocDesign>());
-      payload.append(os.str());
+      payload.append(noc::design_to_string(d.as<noc::NocDesign>()));
     }
     return out.set("kind", "noc").set("values", std::move(payload));
   }
@@ -152,9 +149,9 @@ std::vector<AnyDesign> designs_from_json(const Json& json) {
   }
   if (kind == "noc") {
     for (const auto& text : values->as_array()) {
-      std::istringstream is(text.as_string());
       try {
-        out.push_back(AnyDesign::wrap<noc::NocDesign>(noc::read_design(is)));
+        out.push_back(AnyDesign::wrap<noc::NocDesign>(
+            noc::design_from_string(text.as_string())));
       } catch (const std::exception& e) {
         throw JsonError(std::string("designs: bad noc payload: ") + e.what());
       }

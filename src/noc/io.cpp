@@ -1,13 +1,9 @@
 #include "noc/io.hpp"
 
-#include <iomanip>
-#include <istream>
-#include <locale>
-#include <ostream>
-#include <sstream>
+#include <algorithm>
+#include <charconv>
 #include <stdexcept>
-
-#include "util/numeric.hpp"
+#include <system_error>
 
 namespace moela::noc {
 
@@ -17,176 +13,123 @@ namespace {
   throw std::runtime_error("noc::io: " + what);
 }
 
-/// Reads the next non-comment, non-empty line.
-bool next_line(std::istream& is, std::string& line) {
-  while (std::getline(is, line)) {
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#') continue;
-    return true;
+/// Takes the next line that is neither blank nor a '#' comment off the
+/// front of `text`, without its '\n' (the last line may lack one). False
+/// when only blank and comment lines are left.
+bool next_line(std::string_view& text, std::string_view& line) {
+  while (!text.empty()) {
+    const std::size_t end = text.find('\n');
+    line = text.substr(0, end);
+    text.remove_prefix(end == std::string_view::npos ? text.size() : end + 1);
+    const std::size_t first = line.find_first_not_of(" \t\r");
+    if (first != std::string_view::npos && line[first] != '#') return true;
   }
   return false;
 }
 
-std::istringstream expect_line(std::istream& is, const std::string& context) {
-  std::string line;
-  if (!next_line(is, line)) fail("unexpected end of input in " + context);
-  return std::istringstream(line);
+std::string_view expect_line(std::string_view& text, const char* context) {
+  std::string_view line;
+  if (!next_line(text, line)) {
+    fail(std::string("unexpected end of input in ") + context);
+  }
+  return line;
+}
+
+/// Strips `prefix` off the front of `line`.
+bool take_prefix(std::string_view& line, std::string_view prefix) {
+  if (line.substr(0, prefix.size()) != prefix) return false;
+  line.remove_prefix(prefix.size());
+  return true;
+}
+
+/// Takes a decimal number off the front of `line`, plus the space before
+/// the next one. It must fit `out` and carry no sign and no leading zero;
+/// a space must be followed by another number.
+template <typename T>
+bool take_number(std::string_view& line, T& out) {
+  const char* first = line.data();
+  const auto [end, ec] = std::from_chars(first, first + line.size(), out);
+  if (ec != std::errc() || (*first == '0' && end - first > 1)) return false;
+  line.remove_prefix(static_cast<std::size_t>(end - first));
+  if (line.empty()) return true;
+  if (line.size() == 1 || line.front() != ' ') return false;
+  line.remove_prefix(1);
+  return true;
 }
 
 }  // namespace
 
-void write_design(std::ostream& os, const NocDesign& design) {
-  os << design_to_string(design);
+std::string design_to_string(const NocDesign& design) {
+  // Sized for the widest ids, then filled by to_chars, so no locale can
+  // insert digit grouping into a serialized design.
+  std::string out(64 + 6 * design.placement.size() + 12 * design.links.size(),
+                  '\0');
+  char* cursor = out.data();
+  char* const end = cursor + out.size();
+  const auto put = [&](std::string_view text) {
+    cursor = std::copy(text.begin(), text.end(), cursor);
+  };
+  const auto put_number = [&](std::size_t value) {
+    cursor = std::to_chars(cursor, end, value).ptr;
+  };
+  put("noc-design v1\nplacement");
+  for (CoreId c : design.placement) {
+    *cursor++ = ' ';
+    put_number(c);
+  }
+  put("\nlinks ");
+  put_number(design.links.size());
+  *cursor++ = '\n';
+  for (const Link& l : design.links) {
+    put_number(l.a);
+    *cursor++ = ' ';
+    put_number(l.b);
+    *cursor++ = '\n';
+  }
+  out.resize(static_cast<std::size_t>(cursor - out.data()));
+  return out;
 }
 
-NocDesign read_design(std::istream& is) {
-  is.imbue(std::locale::classic());
-  {
-    auto header = expect_line(is, "design header");
-    std::string magic, version;
-    header >> magic >> version;
-    if (magic != "noc-design" || version != "v1") {
-      fail("bad design header");
-    }
+NocDesign read_design(std::string_view& text) {
+  if (expect_line(text, "design header") != "noc-design v1") {
+    fail("bad design header");
   }
   NocDesign design;
-  {
-    auto line = expect_line(is, "placement");
-    std::string tag;
-    line >> tag;
-    if (tag != "placement") fail("expected 'placement'");
-    unsigned value = 0;
-    while (line >> value) {
-      design.placement.push_back(static_cast<CoreId>(value));
-    }
-    if (design.placement.empty()) fail("empty placement");
+  std::string_view line = expect_line(text, "placement");
+  if (!take_prefix(line, "placement ") || line.empty()) {
+    fail("expected 'placement <core ids>'");
   }
+  while (!line.empty()) {
+    CoreId core = 0;
+    if (!take_number(line, core)) fail("malformed placement");
+    design.placement.push_back(core);
+  }
+  line = expect_line(text, "links");
   std::size_t link_count = 0;
-  {
-    auto line = expect_line(is, "links");
-    std::string tag;
-    line >> tag >> link_count;
-    if (tag != "links") fail("expected 'links'");
+  if (!take_prefix(line, "links ") || !take_number(line, link_count) ||
+      !line.empty()) {
+    fail("expected 'links <count>'");
   }
-  design.links.reserve(link_count);
+  // A link line takes at least four bytes, so a damaged count cannot
+  // reserve more than the text could hold.
+  design.links.reserve(std::min(link_count, text.size() / 4));
   for (std::size_t k = 0; k < link_count; ++k) {
-    auto line = expect_line(is, "link entry");
-    unsigned a = 0, b = 0;
-    if (!(line >> a >> b)) fail("malformed link entry");
-    design.links.emplace_back(static_cast<TileId>(a),
-                              static_cast<TileId>(b));
+    line = expect_line(text, "link entry");
+    TileId a = 0, b = 0;
+    if (!take_number(line, a) || !take_number(line, b) || !line.empty()) {
+      fail("malformed link entry");
+    }
+    design.links.emplace_back(a, b);
   }
   design.canonicalize();
   return design;
 }
 
-std::string design_to_string(const NocDesign& design) {
-  // util::dec renders through to_chars, so no locale can insert digit
-  // grouping into a serialized design.
-  std::string out = "noc-design v1\nplacement";
-  for (CoreId c : design.placement) {
-    out += ' ';
-    out += util::dec(c);
-  }
-  out += "\nlinks ";
-  out += util::dec(design.links.size());
-  out += '\n';
-  for (const Link& l : design.links) {
-    out += util::dec(l.a);
-    out += ' ';
-    out += util::dec(l.b);
-    out += '\n';
-  }
-  return out;
-}
-
-NocDesign design_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_design(is);
-}
-
-void write_workload(std::ostream& os, const Workload& workload) {
-  os.imbue(std::locale::classic());
-  // Round-trip exact doubles.
-  os << std::setprecision(17);
-  os << "noc-workload v1 " << workload.name << '\n';
-  os << "cores " << workload.core_power.size() << '\n';
-  os << "power";
-  for (double p : workload.core_power) os << ' ' << p;
-  os << '\n';
-  std::size_t nonzero = 0;
-  const std::size_t n = workload.traffic.num_cores();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (workload.traffic(i, j) != 0.0) ++nonzero;
-    }
-  }
-  os << "traffic " << nonzero << '\n';
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      const double f = workload.traffic(i, j);
-      if (f != 0.0) os << i << ' ' << j << ' ' << f << '\n';
-    }
-  }
-}
-
-Workload read_workload(std::istream& is) {
-  is.imbue(std::locale::classic());
-  Workload w;
-  {
-    auto header = expect_line(is, "workload header");
-    std::string magic, version;
-    header >> magic >> version >> w.name;
-    if (magic != "noc-workload" || version != "v1") {
-      fail("bad workload header");
-    }
-  }
-  std::size_t cores = 0;
-  {
-    auto line = expect_line(is, "cores");
-    std::string tag;
-    line >> tag >> cores;
-    if (tag != "cores" || cores == 0) fail("expected 'cores <n>'");
-  }
-  {
-    auto line = expect_line(is, "power");
-    std::string tag;
-    line >> tag;
-    if (tag != "power") fail("expected 'power'");
-    double p = 0.0;
-    while (line >> p) w.core_power.push_back(p);
-    if (w.core_power.size() != cores) fail("power entry count mismatch");
-  }
-  std::size_t nonzero = 0;
-  {
-    auto line = expect_line(is, "traffic");
-    std::string tag;
-    line >> tag >> nonzero;
-    if (tag != "traffic") fail("expected 'traffic'");
-  }
-  w.traffic = TrafficMatrix(cores);
-  for (std::size_t k = 0; k < nonzero; ++k) {
-    auto line = expect_line(is, "traffic entry");
-    std::size_t i = 0, j = 0;
-    double f = 0.0;
-    if (!(line >> i >> j >> f) || i >= cores || j >= cores) {
-      fail("malformed traffic entry");
-    }
-    w.traffic(i, j) = f;
-  }
-  return w;
-}
-
-std::string workload_to_string(const Workload& workload) {
-  std::ostringstream os;
-  write_workload(os, workload);
-  return os.str();
-}
-
-Workload workload_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_workload(is);
+NocDesign design_from_string(std::string_view text) {
+  NocDesign design = read_design(text);
+  std::string_view trailing;
+  if (next_line(text, trailing)) fail("text after the design");
+  return design;
 }
 
 }  // namespace moela::noc

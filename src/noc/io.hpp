@@ -1,47 +1,36 @@
-// Plain-text (de)serialization for designs and workloads, so explorations
-// can be checkpointed, diffed, and handed to downstream tooling.
+// Plain-text (de)serialization for designs, so explorations can be
+// checkpointed, diffed, and handed to downstream tooling.
 //
-// Format (line-oriented, '#' comments allowed):
+// Format (line-oriented):
 //   noc-design v1
 //   placement <core ids, one line, tile order>
 //   links <count>
 //   <a> <b>            (one line per link)
 //
-//   noc-workload v1 <name>
-//   cores <count>
-//   power <count doubles>
-//   traffic <nonzero-entry count>
-//   <i> <j> <f_ij>     (one line per nonzero entry)
+// Whole-line '#' comments and blank lines may appear anywhere. Every other
+// line must hold exactly what design_to_string writes: the tokens above,
+// one space apart, with ids in decimal and in range. Anything else throws,
+// so a damaged text never decodes as some other design.
 #pragma once
 
-#include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "noc/design.hpp"
-#include "noc/platform.hpp"
-#include "noc/workload.hpp"
 
 namespace moela::noc {
 
 /// Writes `design` in the v1 text format.
-void write_design(std::ostream& os, const NocDesign& design);
-
-/// Parses a v1 design. Throws std::runtime_error on malformed input.
-/// The result is syntactically well-formed but NOT constraint-checked;
-/// call validate() for that.
-NocDesign read_design(std::istream& is);
-
-/// Round-trip helpers via std::string.
 std::string design_to_string(const NocDesign& design);
-NocDesign design_from_string(const std::string& text);
 
-/// Writes `workload` in the v1 text format (sparse traffic entries).
-void write_workload(std::ostream& os, const Workload& workload);
+/// Parses one v1 design from the front of `text` and advances `text` past
+/// it. Throws std::runtime_error on malformed input. The result is
+/// syntactically well-formed but NOT constraint-checked; call validate()
+/// for that.
+NocDesign read_design(std::string_view& text);
 
-/// Parses a v1 workload. Throws std::runtime_error on malformed input.
-Workload read_workload(std::istream& is);
-
-std::string workload_to_string(const Workload& workload);
-Workload workload_from_string(const std::string& text);
+/// Parses a text that holds exactly one v1 design (comments and blank lines
+/// aside). Throws std::runtime_error on malformed input.
+NocDesign design_from_string(std::string_view text);
 
 }  // namespace moela::noc

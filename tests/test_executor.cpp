@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cfloat>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -19,6 +20,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
 
 #include "api/executor.hpp"
 #include "api/problems.hpp"
@@ -399,9 +402,9 @@ TEST(ResultCacheSerialization, RoundTripsAwkwardDoubles) {
   report.final_front = {{0.1 + 0.2, 3.0}};
   report.final_objectives = {{0.1 + 0.2, 3.0}};
 
-  std::stringstream stream;
-  detail::write_report(stream, "k", report);
-  const auto back = detail::read_report(stream, "k");
+  std::string text;
+  detail::write_report(text, "k", report);
+  const auto back = detail::read_report(text, "k");
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->algorithm, report.algorithm);
   EXPECT_EQ(back->evaluations, report.evaluations);
@@ -412,8 +415,7 @@ TEST(ResultCacheSerialization, RoundTripsAwkwardDoubles) {
   EXPECT_EQ(back->final_front, report.final_front);
 
   // A different key (hash collision in disguise) reads as a miss.
-  std::stringstream again(stream.str());
-  EXPECT_FALSE(detail::read_report(again, "other-key").has_value());
+  EXPECT_FALSE(detail::read_report(text, "other-key").has_value());
 }
 
 // --- disk-byte pins -------------------------------------------------------
@@ -571,6 +573,129 @@ TEST(ResultCacheSerialization, DiskBytesPinned) {
   EXPECT_TRUE(entries[4].report.final_designs.empty());
   EXPECT_FALSE(entries[0].report.snapshots.empty());
   EXPECT_FALSE(entries[0].report.provenance.knobs.empty());
+}
+
+TEST(ResultCacheSerialization, EveryPrefixIsAMiss) {
+  // A truncated entry file (a crash mid-write, a full disk) must read as a
+  // miss at every length, never as a hit whose last value is cut short.
+  ScratchDir dir("moela-prefix-cache");
+  std::filesystem::create_directories(dir.path());
+  for (const PinnedEntry& entry : pinned_entries()) {
+    const std::string key = std::string("pin|") + entry.name;
+    const std::string text = disk_text(key, entry.report);
+    const std::filesystem::path path = entry_path(dir, key);
+    std::ofstream(path, std::ios::binary) << text;
+    ASSERT_TRUE(ResultCache(dir.str()).lookup(key).has_value()) << entry.name;
+    for (std::size_t size = text.size(); size-- > 0;) {
+      std::filesystem::resize_file(path, size);
+      if (ResultCache(dir.str()).lookup(key).has_value()) {
+        ADD_FAILURE() << entry.name << ": the first " << size << " of "
+                      << text.size() << " bytes read as a hit";
+        break;
+      }
+    }
+  }
+}
+
+TEST(ResultCacheSerialization, MalformedFieldsAreMisses) {
+  // Each edit makes text the writer never writes. Each must read as a
+  // miss, never as a hit with a defaulted or misread field.
+  const RunReport report = seeded_report("zdt1", "nsga2");
+  const std::string key = "pin|zdt1/nsga2";
+  const std::string text = disk_text(key, report);
+  ASSERT_TRUE(read_entry(key, text).has_value());
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string out = text;
+    const std::size_t at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return at == std::string::npos ? out : out.replace(at, from.size(), to);
+  };
+  const std::string seed = "\nseed " + std::to_string(report.provenance.seed);
+  const std::string evaluations =
+      "\nevaluations " + std::to_string(report.evaluations);
+  std::string crlf;
+  for (const char c : text) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  const std::string malformed[] = {
+      replaced(seed + "\n", seed + "x\n"),
+      replaced(seed + "\n", "\nseed \n"),
+      replaced(seed + "\n", "\nseed -1\n"),
+      replaced(seed + "\n", "\nseed 18446744073709551616\n"),
+      replaced(evaluations + "\n", evaluations + ".0\n"),
+      replaced("\nfront ", "\nfront  "),
+      replaced("\nknobs ", "\nknobs  "),
+      replaced("\ndesigns real ", "\ndesigns real  "),
+      text + "\n",
+      text + "moela-report v1\n",
+      crlf,
+  };
+  for (std::size_t i = 0; i < std::size(malformed); ++i) {
+    EXPECT_FALSE(read_entry(key, malformed[i]).has_value()) << "edit " << i;
+  }
+}
+
+/// Lowers the file-size limit for its scope, with SIGXFSZ ignored so a
+/// write past the limit fails with EFBIG instead of killing the process.
+class ScopedFileSizeLimit {
+ public:
+  explicit ScopedFileSizeLimit(std::uintmax_t bytes) {
+    ::getrlimit(RLIMIT_FSIZE, &saved_);
+    previous_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    rlimit lowered = saved_;
+    lowered.rlim_cur = static_cast<rlim_t>(bytes);
+    applied_ = ::setrlimit(RLIMIT_FSIZE, &lowered) == 0;
+  }
+  ~ScopedFileSizeLimit() {
+    ::setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, previous_handler_);
+  }
+  ScopedFileSizeLimit(const ScopedFileSizeLimit&) = delete;
+  ScopedFileSizeLimit& operator=(const ScopedFileSizeLimit&) = delete;
+  bool applied() const { return applied_; }
+
+ private:
+  rlimit saved_{};
+  void (*previous_handler_)(int) = SIG_DFL;
+  bool applied_ = false;
+};
+
+TEST(ResultCache, FailedWritePublishesNothing) {
+  // A store that cannot write its entry whole must leave nothing behind: a
+  // truncated entry could read back as a hit with a cut-short last value.
+  // One entry is smaller than 8 KiB and one larger, so a buffered writer
+  // would fail at its final flush in one case and midway in the other.
+  const struct {
+    const char* key;
+    RunReport report;
+  } cases[] = {
+      {"pin|zdt1/nsga2", seeded_report("zdt1", "nsga2")},
+      {"pin|noc/nsga2", seeded_report("noc", "nsga2")},
+  };
+  const std::string small = disk_text(cases[0].key, cases[0].report);
+  const std::string large = disk_text(cases[1].key, cases[1].report);
+  ASSERT_LT(small.size(), 8192u);
+  ASSERT_GT(large.size(), 8192u);
+  for (const auto& c : cases) {
+    const std::string text = disk_text(c.key, c.report);
+    for (const std::uintmax_t limit : {text.size() - 1, text.size() / 2}) {
+      ScratchDir dir("moela-fsize-cache");
+      {
+        ScopedFileSizeLimit scoped(limit);
+        ASSERT_TRUE(scoped.applied());
+        ResultCache(dir.str()).store(c.key, c.report);
+      }
+      EXPECT_FALSE(ResultCache(dir.str()).lookup(c.key).has_value())
+          << c.key << " under a " << limit << "-byte limit";
+      EXPECT_TRUE(!std::filesystem::exists(dir.path()) ||
+                  std::filesystem::is_empty(dir.path()))
+          << c.key << " under a " << limit << "-byte limit left a file";
+      // Without the limit, the same store publishes the whole entry.
+      ResultCache(dir.str()).store(c.key, c.report);
+      EXPECT_EQ(file_bytes(entry_path(dir, c.key)), text) << c.key;
+    }
+  }
 }
 
 // --- Knob-key declarations ------------------------------------------------

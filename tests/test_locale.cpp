@@ -8,10 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <clocale>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <locale>
+#include <optional>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "api/request.hpp"
+#include "api/result_cache.hpp"
 #include "api/serde.hpp"
 #include "util/json.hpp"
 #include "util/numeric.hpp"
@@ -130,6 +137,89 @@ TEST(Locale, JsonNumbersAreLocaleProof) {
   EXPECT_EQ(dumped, "0.1");
   EXPECT_EQ(util::Json::parse("1.5").as_double(), 1.5);
   EXPECT_EQ(util::Json::parse("1e-3").as_double(), 1e-3);
+}
+
+/// Groups digits in threes with '.', as de_DE does. It is built in, so the
+/// test needs no system locale and runs on every host.
+class DotGrouping : public std::numpunct<char> {
+ protected:
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+/// Installs `locale` as the global C++ locale for its scope.
+class ScopedGlobalLocale {
+ public:
+  explicit ScopedGlobalLocale(const std::locale& locale)
+      : previous_(std::locale::global(locale)) {}
+  ~ScopedGlobalLocale() { std::locale::global(previous_); }
+
+ private:
+  std::locale previous_;
+};
+
+/// A report whose integers each group under DotGrouping.
+api::RunReport grouping_probe_report() {
+  api::RunReport report;
+  report.algorithm = "NSGA-II";
+  report.evaluations = 1500;
+  report.seconds = 1234567.891;
+  report.snapshots.push_back({1000, 0.5, {{1234.5, 0.1}}});
+  report.final_front = {{1234.5, 0.1}};
+  report.final_objectives = {{1234.5, 0.1}};
+  report.final_designs.push_back(api::AnyDesign::wrap<std::vector<double>>(
+      std::vector<double>(1234, 0.25)));
+  api::RunProvenance& p = report.provenance;
+  p.problem = "zdt1";
+  p.algorithm_key = "nsga2";
+  p.seed = 123456;
+  p.knobs = {{"nsga2.max_generations", 1000.0}};
+  return report;
+}
+
+std::string file_bytes(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(Locale, DiskTierIsLocaleProof) {
+  namespace fs = std::filesystem;
+  const api::RunReport report = grouping_probe_report();
+  const std::string key = "locale-probe";
+  const fs::path root = fs::path(testing::TempDir()) / "moela-locale-cache";
+  fs::remove_all(root);
+  const fs::path plain = root / "plain";
+  const fs::path grouped = root / "grouped";
+  const std::string entry = api::ResultCache::hash_key(key) + ".moela";
+
+  api::ResultCache(plain.string()).store(key, report);
+  std::optional<api::RunReport> read_while_grouped;
+  {
+    ScopedGlobalLocale scoped(
+        std::locale(std::locale::classic(), new DotGrouping));
+    std::ostringstream probe;
+    probe << 123456;
+    ASSERT_EQ(probe.str(), "123.456");  // the locale really groups
+    api::ResultCache(grouped.string()).store(key, report);
+    read_while_grouped = api::ResultCache(plain.string()).lookup(key);
+  }
+  // Same bytes out...
+  const std::string plain_text = file_bytes(plain / entry);
+  const std::string grouped_text = file_bytes(grouped / entry);
+  EXPECT_TRUE(grouped_text == plain_text)
+      << grouped_text.substr(0, grouped_text.find("\ndesigns"));
+  // ...and each side reads the other's entry back whole.
+  api::RunReport expected = report;
+  expected.provenance.cache_key = key;
+  expected.provenance.cache_hit = true;
+  const std::string expected_bytes = api::report_to_json(expected).dump();
+  const auto read_plain = api::ResultCache(grouped.string()).lookup(key);
+  ASSERT_TRUE(read_plain.has_value());
+  EXPECT_EQ(api::report_to_json(*read_plain).dump(), expected_bytes);
+  ASSERT_TRUE(read_while_grouped.has_value());
+  EXPECT_EQ(api::report_to_json(*read_while_grouped).dump(), expected_bytes);
+  fs::remove_all(root);
 }
 
 }  // namespace

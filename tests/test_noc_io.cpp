@@ -4,7 +4,6 @@
 
 #include "noc/constraints.hpp"
 #include "noc/generator.hpp"
-#include "sim/rodinia.hpp"
 #include "util/rng.hpp"
 
 namespace moela::noc {
@@ -49,6 +48,23 @@ TEST(DesignIo, MalformedInputsThrow) {
   EXPECT_THROW(
       design_from_string("noc-design v1\nplacement 0 1\nlinks 2\n0 1\n"),
       std::runtime_error);  // missing link line
+  // Inputs that must not decode as some other design: every line holds
+  // exactly what design_to_string writes.
+  const char* const strict[] = {
+      "noc-design v1\nplacement 0 1\nlinks x\n",
+      "noc-design v1\nplacement 0 65536\nlinks 0\n",
+      "noc-design v1\nplacement 0 -1\nlinks 0\n",
+      "noc-design v1\nplacement 0 2x 1\nlinks 0\n",
+      "noc-design v1\nplacement 0 1\nlinks 1\n0 70000\n",
+      "noc-design v1\nplacement 0 1 x\nlinks 0\n",
+      "noc-design v1\nplacement 0 1\nlinks 1\n0 1 1\n",
+      "noc-design v1\nplacement 0 1\nlinks 1 1\n0 1\n",
+      "noc-design v1 x\nplacement 0 1\nlinks 0\n",
+      "noc-design v1\nplacement 0 1\nlinks 0\nlinks 0\n",
+  };
+  for (const char* text : strict) {
+    EXPECT_THROW(design_from_string(text), std::runtime_error) << text;
+  }
 }
 
 TEST(DesignIo, ParsedLinksAreCanonical) {
@@ -57,53 +73,6 @@ TEST(DesignIo, ParsedLinksAreCanonical) {
   ASSERT_EQ(d.links.size(), 2u);
   EXPECT_EQ(d.links[0], Link(0, 2));
   EXPECT_EQ(d.links[1], Link(1, 3));
-}
-
-TEST(WorkloadIo, RoundTripPreservesWorkload) {
-  const auto spec = PlatformSpec::small_3x3x3();
-  const Workload original = sim::make_workload(spec, sim::RodiniaApp::kBfs, 7);
-  const Workload restored =
-      workload_from_string(workload_to_string(original));
-  EXPECT_EQ(restored.name, original.name);
-  ASSERT_EQ(restored.core_power.size(), original.core_power.size());
-  for (std::size_t i = 0; i < original.core_power.size(); ++i) {
-    EXPECT_NEAR(restored.core_power[i], original.core_power[i], 1e-9);
-  }
-  const std::size_t n = spec.num_cores();
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(restored.traffic(i, j), original.traffic(i, j), 1e-9)
-          << i << "," << j;
-    }
-  }
-}
-
-TEST(WorkloadIo, SparseEntriesOnly) {
-  Workload w;
-  w.name = "tiny";
-  w.traffic = TrafficMatrix(3);
-  w.traffic(0, 1) = 2.5;
-  w.core_power = {1.0, 2.0, 3.0};
-  const std::string text = workload_to_string(w);
-  // Exactly one traffic entry serialized.
-  EXPECT_NE(text.find("traffic 1"), std::string::npos);
-  const Workload restored = workload_from_string(text);
-  EXPECT_DOUBLE_EQ(restored.traffic(0, 1), 2.5);
-  EXPECT_DOUBLE_EQ(restored.traffic(1, 0), 0.0);
-}
-
-TEST(WorkloadIo, MalformedInputsThrow) {
-  EXPECT_THROW(workload_from_string(""), std::runtime_error);
-  EXPECT_THROW(workload_from_string("noc-workload v1 x\ncores 0\n"),
-               std::runtime_error);
-  EXPECT_THROW(
-      workload_from_string(
-          "noc-workload v1 x\ncores 2\npower 1.0\ntraffic 0\n"),
-      std::runtime_error);  // power count mismatch
-  EXPECT_THROW(
-      workload_from_string(
-          "noc-workload v1 x\ncores 2\npower 1 2\ntraffic 1\n5 0 1.0\n"),
-      std::runtime_error);  // index out of range
 }
 
 }  // namespace
