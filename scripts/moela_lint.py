@@ -9,13 +9,13 @@ on, which no off-the-shelf tool knows about (see docs/correctness.md):
                          random_shuffle) are banned outside src/util/rng.*:
                          any of them makes a run irreproducible.
   hexfloat-wire          Wire files (serde, serve/, util/json, result_cache,
-                         request) may not format or parse doubles through
-                         locale-dependent primitives (std::to_string, the
-                         strtod family, %f/%e/%g/%a printf conversions,
-                         std::setprecision). They must use util/numeric.hpp
-                         (to_chars/from_chars), or cache keys and the
-                         hexfloat disk/wire format silently change under a
-                         non-C locale.
+                         request, run_log, noc/io) may not format or parse
+                         doubles through locale-dependent primitives
+                         (std::to_string, the strtod family, %f/%e/%g/%a
+                         printf conversions, std::setprecision). They must
+                         use util/numeric.hpp (to_chars/from_chars), or cache
+                         keys and the hexfloat disk/wire format silently
+                         change under a non-C locale.
   using-namespace-header `using namespace` in a header leaks into every
                          includer; banned at any scope.
   include-guard          Every header uses exactly one #pragma once, before
@@ -100,6 +100,7 @@ WIRE_FILE_PATTERNS = (
     "src/api/run_log.",
     "src/serve/",
     "src/util/json.",
+    "src/noc/io.",
 )
 
 WAIVER_RE = re.compile(r"moela-lint:\s*allow\(([a-z-]+)\)\s*(.*)")
