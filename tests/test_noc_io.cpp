@@ -67,6 +67,24 @@ TEST(DesignIo, MalformedInputsThrow) {
   }
 }
 
+TEST(DesignIo, ReadDesignConsumesOneDesignFromTheFront) {
+  const auto spec = PlatformSpec::small_3x3x3();
+  DesignOps ops(spec);
+  util::Rng rng(4);
+  const NocDesign first = ops.random_design(rng);
+  const NocDesign second = ops.random_design(rng);
+  // Comment and blank lines may sit between any two lines.
+  std::string first_text = design_to_string(first);
+  first_text.insert(first_text.find("\nlinks") + 1, "  # links next\n\n");
+  const std::string text = first_text + "# second\n" +
+                           design_to_string(second) + "# end\n";
+  std::string_view rest = text;
+  EXPECT_EQ(read_design(rest), first);
+  EXPECT_EQ(read_design(rest), second);
+  EXPECT_EQ(rest, "# end\n");
+  EXPECT_THROW(read_design(rest), std::runtime_error);
+}
+
 TEST(DesignIo, ParsedLinksAreCanonical) {
   const auto d = design_from_string(
       "noc-design v1\nplacement 0 1 2 3\nlinks 2\n3 1\n0 2\n");
