@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
 
 #include "noc/constraints.hpp"
 #include "noc/platform.hpp"
@@ -160,6 +163,42 @@ TEST(Constraints, DetectsDuplicateLinks) {
   d.links.push_back(d.links.front());  // duplicate without canonicalize
   const auto report = validate(spec, d);
   EXPECT_FALSE(report.links_legal);
+}
+
+TEST(Constraints, DetectsDegreeViolation) {
+  const auto spec = PlatformSpec::small_3x3x3();
+  NocDesign d = mesh_design(spec);
+  // Trade four planar links of layer 2 (whose tiles keep their TSVs) for
+  // length-2 links from the center of layer 0 to its corners: every link
+  // stays legal and within budget, and that router reaches degree 9.
+  int dropped = 0;
+  std::erase_if(d.links, [&](const Link& l) {
+    if (dropped == 4 || spec.z_of(l.a) != 2 || spec.z_of(l.b) != 2) {
+      return false;
+    }
+    ++dropped;
+    return true;
+  });
+  const TileId hub = spec.tile_at(1, 1, 0);
+  for (const auto& [x, y] : {std::pair{0, 0}, {2, 0}, {0, 2}, {2, 2}}) {
+    d.links.emplace_back(hub, spec.tile_at(x, y, 0));
+  }
+  d.canonicalize();
+  const auto report = validate(spec, d);
+  EXPECT_TRUE(report.links_legal);
+  EXPECT_TRUE(report.link_budget_respected);
+  EXPECT_TRUE(report.connected);
+  EXPECT_FALSE(report.degree_respected);
+  EXPECT_FALSE(report.ok());
+  const auto degree_violations =
+      std::count_if(report.violations.begin(), report.violations.end(),
+                    [](const std::string& v) {
+                      return v.find("degree") != std::string::npos;
+                    });
+  EXPECT_EQ(degree_violations, 1);
+  EXPECT_NE(std::find(report.violations.begin(), report.violations.end(),
+                      "router " + std::to_string(hub) + " degree 9 > 7"),
+            report.violations.end());
 }
 
 TEST(Constraints, DetectsDisconnection) {

@@ -218,6 +218,17 @@ std::string hex64(std::uint64_t v) {
   return buffer;
 }
 
+// Both canonical platforms use every TSV slot, so their chains never move a
+// vertical link; this tall stack (8 of 12 slots used) draws from all three
+// move kinds of random_neighbor.
+PlatformSpec tall_stack_2x2x4() {
+  std::vector<PeType> cores;
+  cores.insert(cores.end(), 2, PeType::kCpu);
+  cores.insert(cores.end(), 10, PeType::kGpu);
+  cores.insert(cores.end(), 4, PeType::kLlc);
+  return PlatformSpec(2, 2, 4, std::move(cores), 12, 8);
+}
+
 TEST(GeneratorBytePins, SeededOperatorChain) {
   struct Pin {
     const char* platform;
@@ -230,6 +241,8 @@ TEST(GeneratorBytePins, SeededOperatorChain) {
        "afdc0acc669bdcb9"},
       {"small_3x3x3", &PlatformSpec::small_3x3x3, "0a6296c4e0d5ab11",
        "2ac95919b5d74b85"},
+      {"tall_stack_2x2x4", &tall_stack_2x2x4, "393a39e39c32f715",
+       "9676def1facca46f"},
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE(pin.platform);
