@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <sstream>
 
+#include "noc/routing.hpp"
+
 namespace moela::noc {
 
 ConstraintReport validate(const PlatformSpec& spec, const NocDesign& design) {
@@ -80,19 +82,19 @@ ConstraintReport validate(const PlatformSpec& spec, const NocDesign& design) {
 
   // Router degree and connectivity.
   {
-    Adjacency adj(spec, design.links);
+    RouteTree graph(spec, design);
     report.degree_respected = true;
     for (TileId t = 0; t < spec.num_tiles(); ++t) {
-      if (adj.degree(t) >
+      if (graph.degree(t) >
           static_cast<std::size_t>(spec.max_router_degree())) {
         report.degree_respected = false;
         std::ostringstream os;
-        os << "router " << t << " degree " << adj.degree(t) << " > "
+        os << "router " << t << " degree " << graph.degree(t) << " > "
            << spec.max_router_degree();
         violation(os.str());
       }
     }
-    report.connected = adj.connected();
+    report.connected = graph.connected();
     if (!report.connected) violation("network is disconnected");
   }
 

@@ -17,35 +17,6 @@ void NocDesign::canonicalize() {
   links.erase(std::unique(links.begin(), links.end()), links.end());
 }
 
-Adjacency::Adjacency(const PlatformSpec& spec, const std::vector<Link>& links)
-    : adj_(spec.num_tiles()) {
-  for (const Link& l : links) {
-    adj_[l.a].push_back(l.b);
-    adj_[l.b].push_back(l.a);
-  }
-  for (auto& n : adj_) std::sort(n.begin(), n.end());
-}
-
-bool Adjacency::connected() const {
-  if (adj_.empty()) return true;
-  std::vector<bool> seen(adj_.size(), false);
-  std::vector<TileId> stack{0};
-  seen[0] = true;
-  std::size_t count = 1;
-  while (!stack.empty()) {
-    const TileId t = stack.back();
-    stack.pop_back();
-    for (TileId n : adj_[t]) {
-      if (!seen[n]) {
-        seen[n] = true;
-        ++count;
-        stack.push_back(n);
-      }
-    }
-  }
-  return count == adj_.size();
-}
-
 LinkSplit split_links(const PlatformSpec& spec,
                       const std::vector<Link>& links) {
   LinkSplit out;

@@ -2,7 +2,6 @@
 // placement.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 #include "noc/link.hpp"
@@ -27,24 +26,6 @@ struct NocDesign {
   void canonicalize();
 
   friend bool operator==(const NocDesign&, const NocDesign&) = default;
-};
-
-/// Adjacency view of a design's link set; built once per evaluation.
-class Adjacency {
- public:
-  Adjacency(const PlatformSpec& spec, const std::vector<Link>& links);
-
-  /// Neighbors of tile t, ascending (deterministic routing depends on this).
-  const std::vector<TileId>& neighbors(TileId t) const { return adj_[t]; }
-  /// Router degree (= port count toward other routers).
-  std::size_t degree(TileId t) const { return adj_[t].size(); }
-  std::size_t num_tiles() const { return adj_.size(); }
-
-  /// True if every tile can reach every other tile.
-  bool connected() const;
-
- private:
-  std::vector<std::vector<TileId>> adj_;
 };
 
 /// Splits a design's links into planar / vertical subsets.

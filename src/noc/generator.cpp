@@ -4,7 +4,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "noc/constraints.hpp"
+#include "noc/routing.hpp"
 
 namespace moela::noc {
 
@@ -37,8 +37,6 @@ class DisjointSet {
   std::vector<std::size_t> parent_;
   std::vector<std::size_t> rank_;
 };
-
-/// Removing `link`, is the graph still connected? O(V + E) BFS.
 
 }  // namespace
 
@@ -75,7 +73,6 @@ std::vector<Link> DesignOps::build_links(
   for (int attempt = 0; attempt < 32; ++attempt) {
     std::vector<Link> chosen;
     std::vector<std::size_t> degree(spec.num_tiles(), 0);
-    std::vector<bool> planar_class;  // parallel to `chosen`
     std::size_t planar_used = 0, vertical_used = 0;
     DisjointSet dsu(spec.num_tiles());
     std::size_t components = spec.num_tiles();
@@ -93,7 +90,6 @@ std::vector<Link> DesignOps::build_links(
       if (tree_only && dsu.find(l.a) == dsu.find(l.b)) return false;
       if (dsu.unite(l.a, l.b)) --components;
       chosen.push_back(l);
-      planar_class.push_back(is_planar);
       ++degree[l.a];
       ++degree[l.b];
       (is_planar ? planar_used : vertical_used) += 1;
@@ -186,20 +182,36 @@ bool DesignOps::swap_cores(NocDesign& d, util::Rng& rng) const {
 }
 
 bool DesignOps::move_planar_link(NocDesign& d, util::Rng& rng) const {
+  return move_link(d, rng, /*planar=*/true);
+}
+
+bool DesignOps::move_vertical_link(NocDesign& d, util::Rng& rng) const {
+  // When the budget equals the candidate count every TSV slot is occupied
+  // (the paper's 48/48 setup) and there is nothing to move.
+  if (spec_->num_vertical_links() >= spec_->vertical_candidates().size()) {
+    return false;
+  }
+  return move_link(d, rng, /*planar=*/false);
+}
+
+bool DesignOps::move_link(NocDesign& d, util::Rng& rng, bool planar) const {
   const auto& spec = *spec_;
-  auto split = split_links(spec, d.links);
-  if (split.planar.empty()) return false;
+  const auto split = split_links(spec, d.links);
+  const auto& movable = planar ? split.planar : split.vertical;
+  const auto& slots =
+      planar ? spec.planar_candidates() : spec.vertical_candidates();
+  if (movable.empty()) return false;
   const auto max_degree = static_cast<std::size_t>(spec.max_router_degree());
 
-  Adjacency adj(spec, d.links);
+  const RouteTree graph(spec, d);
   for (int attempt = 0; attempt < 24; ++attempt) {
-    const Link victim = rng.pick(split.planar);
-    const Link incoming = rng.pick(spec.planar_candidates());
+    const Link victim = rng.pick(movable);
+    const Link incoming = rng.pick(slots);
     if (incoming == victim) continue;
     if (std::binary_search(d.links.begin(), d.links.end(), incoming)) continue;
     // Degree after the exchange (the victim's endpoints lose one).
     auto deg_after = [&](TileId t) {
-      std::size_t deg = adj.degree(t);
+      std::size_t deg = graph.degree(t);
       if (t == victim.a || t == victim.b) --deg;
       if (t == incoming.a || t == incoming.b) ++deg;
       return deg;
@@ -208,50 +220,13 @@ bool DesignOps::move_planar_link(NocDesign& d, util::Rng& rng) const {
         deg_after(incoming.b) > max_degree) {
       continue;
     }
-    std::vector<Link> candidate = d.links;
-    std::erase(candidate, victim);
-    candidate.push_back(incoming);
-    std::sort(candidate.begin(), candidate.end());
-    if (!Adjacency(spec, candidate).connected()) continue;
-    d.links = std::move(candidate);
-    return true;
-  }
-  return false;
-}
-
-bool DesignOps::move_vertical_link(NocDesign& d, util::Rng& rng) const {
-  const auto& spec = *spec_;
-  // When the budget equals the candidate count every TSV slot is occupied
-  // (the paper's 48/48 setup) and there is nothing to move.
-  if (spec.num_vertical_links() >= spec.vertical_candidates().size()) {
-    return false;
-  }
-  auto split = split_links(spec, d.links);
-  if (split.vertical.empty()) return false;
-  const auto max_degree = static_cast<std::size_t>(spec.max_router_degree());
-
-  Adjacency adj(spec, d.links);
-  for (int attempt = 0; attempt < 24; ++attempt) {
-    const Link victim = rng.pick(split.vertical);
-    const Link incoming = rng.pick(spec.vertical_candidates());
-    if (incoming == victim) continue;
-    if (std::binary_search(d.links.begin(), d.links.end(), incoming)) continue;
-    auto deg_after = [&](TileId t) {
-      std::size_t deg = adj.degree(t);
-      if (t == victim.a || t == victim.b) --deg;
-      if (t == incoming.a || t == incoming.b) ++deg;
-      return deg;
-    };
-    if (deg_after(incoming.a) > max_degree ||
-        deg_after(incoming.b) > max_degree) {
-      continue;
-    }
-    std::vector<Link> candidate = d.links;
-    std::erase(candidate, victim);
-    candidate.push_back(incoming);
-    std::sort(candidate.begin(), candidate.end());
-    if (!Adjacency(spec, candidate).connected()) continue;
-    d.links = std::move(candidate);
+    NocDesign candidate;
+    candidate.links = d.links;
+    std::erase(candidate.links, victim);
+    candidate.links.push_back(incoming);
+    std::sort(candidate.links.begin(), candidate.links.end());
+    if (!RouteTree(spec, candidate).connected()) continue;
+    d.links = std::move(candidate.links);
     return true;
   }
   return false;

@@ -54,6 +54,11 @@ class DesignOps {
   /// Random feasible placement (LLCs on shuffled edge tiles).
   std::vector<CoreId> random_placement(util::Rng& rng) const;
 
+  /// The body of both link moves: up to 24 draws of one of d's links of the
+  /// class and a free candidate slot of the same class, accepting the first
+  /// exchange that keeps every router degree and the network connected.
+  bool move_link(NocDesign& d, util::Rng& rng, bool planar) const;
+
   /// Builds a feasible link set of exact budget drawing candidates from the
   /// given pools in order (earlier pools are preferred). Pools may overlap;
   /// the last pool must be (a superset of) the full candidate set, which

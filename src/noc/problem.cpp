@@ -1,5 +1,7 @@
 #include "noc/problem.hpp"
 
+#include "noc/routing.hpp"
+
 namespace moela::noc {
 
 std::vector<double> NocProblem::features(const Design& d) const {
@@ -17,9 +19,9 @@ std::vector<double> NocProblem::features(const Design& d) const {
   }
 
   // Router degree per tile.
-  const Adjacency adj(spec, d.links);
+  const RouteTree graph(spec, d);
   for (TileId t = 0; t < tiles; ++t) {
-    f.push_back(static_cast<double>(adj.degree(t)));
+    f.push_back(static_cast<double>(graph.degree(t)));
   }
 
   // Planar links per layer; vertical links per layer boundary.

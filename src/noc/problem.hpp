@@ -62,10 +62,11 @@ class NocProblem {
 
   /// Fixed-width numeric encoding for the learned Eval model:
   ///  * one-hot PE type per tile (3 x num_tiles),
-  ///  * router degree per tile (num_tiles),
+  ///  * router degree per tile (num_tiles, read from a RouteTree),
   ///  * planar link count per layer (nz),
   ///  * vertical link count per layer boundary (nz - 1).
-  /// Cheap to compute (no routing) yet captures both decision dimensions.
+  /// Cheap to compute (the RouteTree is indexed, but no route is grown) yet
+  /// captures both decision dimensions.
   std::vector<double> features(const Design& d) const;
   std::size_t num_features() const {
     return 4 * spec_->num_tiles() + 2 * static_cast<std::size_t>(spec_->nz()) -

@@ -51,6 +51,14 @@ void RouteTree::build(TileId source) {
   }
 }
 
+bool RouteTree::connected() {
+  if (n_ == 0) return true;
+  build(0);
+  std::size_t reached = 0;
+  for (const std::uint64_t word : seen_) reached += std::popcount(word);
+  return reached == n_;
+}
+
 int RouteTree::hops(TileId t) const {
   if (!reached(t)) return -1;
   int count = 0;

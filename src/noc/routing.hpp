@@ -1,4 +1,6 @@
-// Deterministic shortest-path routing over an (irregular) link placement.
+// Deterministic shortest-path routing over an (irregular) link placement,
+// and the graph the Sec. III feasibility rules read (router degree,
+// connectivity).
 //
 // The objective formulas of Sec. III need, for every communicating tile pair
 // (i, j), the set of links (p_ijk) and routers (r_ijk) on the route. We use
@@ -17,12 +19,13 @@
 
 namespace moela::noc {
 
-/// Minimal-hop routes out of one source tile at a time. The constructor
+/// The NoC layer's one graph structure: minimal-hop routes out of one
+/// source tile at a time, router degrees and connectivity. The constructor
 /// indexes the design once: a neighbor bit row per tile (ceil(n/64) words),
 /// the link joining each linked tile pair (the later of duplicate links)
-/// and each router's degree (duplicate links count twice, as in
-/// Adjacency). build(s) then grows the BFS tree rooted at s, reusing the
-/// tree buffers of the previous source.
+/// and each router's degree (a duplicate link counts twice). build(s) then
+/// grows the BFS tree rooted at s, reusing the tree buffers of the previous
+/// source.
 class RouteTree {
  public:
   RouteTree(const PlatformSpec& spec, const NocDesign& design);
@@ -54,6 +57,9 @@ class RouteTree {
 
   /// Router degree (port count toward other routers).
   std::size_t degree(TileId t) const { return degree_[t]; }
+  /// True if every tile can reach every other (vacuously for zero tiles).
+  /// Grows the tree rooted at tile 0, replacing the current one.
+  bool connected();
   std::size_t num_tiles() const { return n_; }
 
  private:

@@ -47,49 +47,6 @@ TEST(Design, CanonicalizeSortsAndDedupes) {
   EXPECT_EQ(d.links[1], Link(1, 3));
 }
 
-TEST(Adjacency, NeighborsSortedAndSymmetric) {
-  const auto spec = PlatformSpec::small_3x3x3();
-  const NocDesign d = mesh_design(spec);
-  const Adjacency adj(spec, d.links);
-  for (TileId t = 0; t < spec.num_tiles(); ++t) {
-    const auto& n = adj.neighbors(t);
-    for (std::size_t i = 1; i < n.size(); ++i) EXPECT_LT(n[i - 1], n[i]);
-    for (TileId v : n) {
-      const auto& back = adj.neighbors(v);
-      EXPECT_NE(std::find(back.begin(), back.end(), t), back.end());
-    }
-  }
-}
-
-TEST(Adjacency, MeshDegreeBounds) {
-  const auto spec = PlatformSpec::small_3x3x3();
-  const Adjacency adj(spec, mesh_design(spec).links);
-  for (TileId t = 0; t < spec.num_tiles(); ++t) {
-    EXPECT_GE(adj.degree(t), 3u);  // corner of the 3D mesh
-    EXPECT_LE(adj.degree(t), 6u);  // center
-  }
-}
-
-TEST(Adjacency, MeshIsConnected) {
-  const auto spec = PlatformSpec::small_3x3x3();
-  EXPECT_TRUE(Adjacency(spec, mesh_design(spec).links).connected());
-}
-
-TEST(Adjacency, MissingLinksDisconnect) {
-  const auto spec = PlatformSpec::small_3x3x3();
-  NocDesign d = mesh_design(spec);
-  // Keep only links inside layer 0: layers 1-2 become unreachable.
-  std::erase_if(d.links, [&](const Link& l) {
-    return spec.z_of(l.a) != 0 || spec.z_of(l.b) != 0;
-  });
-  EXPECT_FALSE(Adjacency(spec, d.links).connected());
-}
-
-TEST(Adjacency, EmptyGraphDisconnected) {
-  const auto spec = PlatformSpec::small_3x3x3();
-  EXPECT_FALSE(Adjacency(spec, {}).connected());
-}
-
 TEST(SplitLinks, ClassifiesPlanarVsVertical) {
   const auto spec = PlatformSpec::small_3x3x3();
   const NocDesign d = mesh_design(spec);

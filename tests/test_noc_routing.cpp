@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 
 #include "noc/generator.hpp"
@@ -37,6 +38,35 @@ TEST(Routing, MeshHopsAreManhattan3D) {
       EXPECT_EQ(routes.hops(t), expected) << s << "->" << t;
     }
   }
+}
+
+TEST(Routing, MeshDegreeBounds) {
+  const auto spec = PlatformSpec::small_3x3x3();
+  const RouteTree graph(spec, mesh_design(spec));
+  for (TileId t = 0; t < spec.num_tiles(); ++t) {
+    EXPECT_GE(graph.degree(t), 3u);  // corner of the 3D mesh
+    EXPECT_LE(graph.degree(t), 6u);  // center
+  }
+}
+
+TEST(Routing, MeshIsConnected) {
+  const auto spec = PlatformSpec::small_3x3x3();
+  EXPECT_TRUE(RouteTree(spec, mesh_design(spec)).connected());
+}
+
+TEST(Routing, MissingLinksDisconnect) {
+  const auto spec = PlatformSpec::small_3x3x3();
+  NocDesign d = mesh_design(spec);
+  // Keep only links inside layer 0: layers 1-2 become unreachable.
+  std::erase_if(d.links, [&](const Link& l) {
+    return spec.z_of(l.a) != 0 || spec.z_of(l.b) != 0;
+  });
+  EXPECT_FALSE(RouteTree(spec, d).connected());
+}
+
+TEST(Routing, EmptyGraphDisconnected) {
+  const auto spec = PlatformSpec::small_3x3x3();
+  EXPECT_FALSE(RouteTree(spec, NocDesign{}).connected());
 }
 
 TEST(Routing, HopsSymmetricOnUndirectedGraph) {
@@ -146,11 +176,11 @@ TEST(Routing, ShortestOverRandomTopologies) {
     const NocDesign d = ops.random_design(rng);
     RouteTree from_s(spec, d);
     RouteTree from_v(spec, d);
-    const Adjacency adj(spec, d.links);
     for (TileId s = 0; s < spec.num_tiles(); ++s) {
       from_s.build(s);
-      for (TileId v : adj.neighbors(s)) {
-        from_v.build(v);
+      for (const Link& l : d.links) {
+        if (l.a != s && l.b != s) continue;
+        from_v.build(l.a == s ? l.b : l.a);
         for (TileId t = 0; t < spec.num_tiles(); ++t) {
           EXPECT_LE(from_s.hops(t), 1 + from_v.hops(t))
               << "triangle inequality violated";
@@ -171,11 +201,13 @@ TEST(Routing, TreeEdgesNameTheirLinks) {
   rng.shuffle(d.links);
   const std::size_t dup = 3;
   d.links.insert(d.links.begin(), d.links[dup]);
-  const Adjacency adj(spec, d.links);
   RouteTree routes(spec, d);
   std::size_t hops_seen = 0;
   for (TileId s = 0; s < spec.num_tiles(); ++s) {
-    EXPECT_EQ(routes.degree(s), adj.degree(s));
+    EXPECT_EQ(routes.degree(s),
+              static_cast<std::size_t>(std::count_if(
+                  d.links.begin(), d.links.end(),
+                  [&](const Link& l) { return l.a == s || l.b == s; })));
     routes.build(s);
     for (TileId t = 0; t < spec.num_tiles(); ++t) {
       routes.for_each_hop(t, [&](TileId a, TileId b, std::size_t k) {

@@ -9,6 +9,7 @@
 #include "core/moela.hpp"
 #include "noc/constraints.hpp"
 #include "noc/problem.hpp"
+#include "noc/routing.hpp"
 #include "sim/rodinia.hpp"
 #include "util/rng.hpp"
 
@@ -160,7 +161,7 @@ TEST(TightBudget, SpanningTreeTightBudgetStillConnects) {
   for (int i = 0; i < 5; ++i) {
     const auto d = ops.random_design(rng);
     EXPECT_EQ(d.links.size(), 17u);
-    EXPECT_TRUE(Adjacency(spec, d.links).connected());
+    EXPECT_TRUE(RouteTree(spec, d).connected());
   }
 }
 
