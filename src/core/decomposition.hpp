@@ -71,14 +71,6 @@ class DecompositionPopulation {
     return scale;
   }
 
-  /// Scaled Tchebycheff value of sub-problem i's incumbent.
-  double incumbent_value(std::size_t i) const {
-    return moo::tchebycheff_scaled(objectives_[i], weights_[i], z_.value(),
-                                   objective_scale());
-  }
-
-  void update_reference(const moo::ObjectiveVector& obj) { z_.update(obj); }
-
   /// MOEA/D population update: walks `pool` (a sub-problem index set, in the
   /// caller's order) and replaces incumbents whose Tchebycheff value for
   /// THEIR OWN weight is worse than the candidate's. At most

@@ -36,8 +36,9 @@ namespace moela::core {
 enum class GuideMode {
   /// Lowest predicted final Eq. (8) value e_i (Algorithm 2 as printed).
   kFinalValue,
-  /// Largest predicted drop e_i - g_i(current) ("how much a design can
-  /// improve towards the reference point", Sec. IV.B).
+  /// Largest predicted drop e_i, where the forest learns each visit's g
+  /// minus the search's final g ("how much a design can improve towards
+  /// the reference point", Sec. IV.B).
   kImprovement,
 };
 
@@ -177,23 +178,22 @@ class Moela {
     if (!guided) {
       return ctx.rng().sample_indices(pop.size(), n_local);
     }
-    // e_i = Eval(p_i, w_i) predicts the final Eq. (8) value of a local
-    // search from p_i. Raw e_i values are not comparable across
-    // sub-problems (each weight has its own g scale), so we rank by the
-    // PREDICTED IMPROVEMENT e_i - g_i(current): Sec. IV.B, "the algorithm
-    // attempts to learn a regressor that can predict how much a design can
-    // improve towards the reference point in a local search". Most-negative
-    // scores (largest predicted drops) are the most promising starts.
-    const moo::ObjectiveVector scale = pop.objective_scale();
+    // e_i = Eval(p_i, w_i) predicts the label run_local_search_stage() trains
+    // on for a local search from p_i; g_i(current) is never subtracted.
+    //  * kFinalValue (the registry default): e_i is the predicted final
+    //    Eq. (8) value, and the lowest e_i start first. Raw final values
+    //    are not comparable across sub-problems (each weight has its own g
+    //    scale), so this favours sub-problems already close to z.
+    //  * kImprovement: e_i is the predicted drop from p_i to the search's
+    //    final value (Sec. IV.B, "how much a design can improve towards
+    //    the reference point"), and the largest e_i start first.
     std::vector<std::pair<double, std::size_t>> scored;
     scored.reserve(pop.size());
     for (std::size_t i = 0; i < pop.size(); ++i) {
       const double e = eval_model.predict(
           ctx.problem().features(pop.design(i)), pop.objectives(i),
           pop.weight(i));
-      // kFinalValue: e predicts the final g (lower = better start).
-      // kImprovement: e predicts the achievable drop (higher = better
-      // start), so negate for the ascending sort.
+      // The sort below is ascending, so a predicted drop is negated.
       const double score =
           config_.guide_mode == GuideMode::kImprovement ? -e : e;
       scored.push_back({score, i});

@@ -47,14 +47,6 @@ double RandomForest::predict(std::span<const double> features) const {
   return s / static_cast<double>(trees_.size());
 }
 
-std::vector<double> RandomForest::predict_all(
-    const std::vector<std::vector<double>>& rows) const {
-  std::vector<double> out;
-  out.reserve(rows.size());
-  for (const auto& row : rows) out.push_back(predict(row));
-  return out;
-}
-
 double RandomForest::r_squared(const RandomForest& model,
                                const Dataset& data) {
   if (data.empty()) return 0.0;

@@ -38,10 +38,6 @@ class RandomForest {
   /// Mean prediction across trees.
   double predict(std::span<const double> features) const;
 
-  /// Batch prediction.
-  std::vector<double> predict_all(
-      const std::vector<std::vector<double>>& rows) const;
-
   bool trained() const { return !trees_.empty(); }
   std::size_t num_trees() const { return trees_.size(); }
 

@@ -45,9 +45,6 @@ class PlatformSpec {
 
   std::size_t num_planar_links() const { return num_planar_links_; }
   std::size_t num_vertical_links() const { return num_vertical_links_; }
-  std::size_t total_links() const {
-    return num_planar_links_ + num_vertical_links_;
-  }
   int max_planar_length() const { return max_planar_length_; }
   int max_router_degree() const { return max_router_degree_; }
 

@@ -42,13 +42,6 @@ class NocProblem {
         .first(num_objectives_);
   }
 
-  /// Full five-objective evaluation with intermediate detail (used by the
-  /// EDP model and the Fig. 3 selection rule regardless of `m`).
-  NocObjectives evaluate_full(const Design& d,
-                              EvaluationDetail* detail = nullptr) const {
-    return evaluate_objectives(*spec_, d, *workload_, params_, detail);
-  }
-
   Design random_design(util::Rng& rng) const { return ops_.random_design(rng); }
   Design random_neighbor(const Design& d, util::Rng& rng) const {
     return ops_.random_neighbor(d, rng);

@@ -23,8 +23,6 @@ class Table {
   void add_row_numeric(const std::string& label,
                        const std::vector<double>& values, int precision = 2);
 
-  std::size_t num_rows() const { return rows_.size(); }
-
   /// Renders the table as markdown.
   std::string to_string() const;
 
