@@ -15,8 +15,12 @@ failed, so the baseline does not have to be regenerated in the same PR
 that adds a benchmark.
 
 The committed baselines live at the repo root (BENCH_*.json), produced by
-    bench_micro --benchmark_filter=BM_EndToEnd \
+    F='BM_EndToEnd|BM_RouteTreeBuild|BM_FullObjectiveEvaluation'
+    F="$F|BM_RandomNeighbor|BM_Crossover|BM_FeatureExtraction"
+    bench_micro --benchmark_filter="$F" \
                 --benchmark_format=json --benchmark_out=BENCH_new.json
+Before BENCH_21.json they held BM_EndToEnd only, so the layer cells show
+as ADDED against an older baseline.
 """
 
 import argparse
