@@ -18,10 +18,10 @@
 //                            disconnects (sever()).
 //   * closed_port()        — a loopback port with nothing listening:
 //                            connect() fails deterministically.
-//   * AcceptAndCloseEndpoint — accepts, then drops: connect() succeeds,
-//                            the first wire batch fails at the transport
-//                            level — a daemon dying right after joining
-//                            the fleet.
+//   * ProbeThenFailEndpoint — passes the coordinator's health probe, then
+//                            either refuses every later connect or drops
+//                            each connection at its first run line — a
+//                            daemon dying right after joining the fleet.
 #pragma once
 
 #include <atomic>
@@ -43,6 +43,7 @@
 #include <unistd.h>
 
 #include "serve/protocol.hpp"
+#include "util/json.hpp"
 
 namespace moela::fault {
 
@@ -62,41 +63,68 @@ inline int closed_port() {
   return port;
 }
 
-/// A listener that accepts one connection and immediately closes it: the
-/// coordinator's connect succeeds, but the first chunk submitted on the
-/// connection fails at the transport level — the deterministic stand-in
-/// for a daemon that dies mid-run after joining the fleet.
-struct AcceptAndCloseEndpoint {
-  AcceptAndCloseEndpoint() {
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+/// A fake daemon that passes the coordinator's health probe and then fails.
+/// It answers every verb but `run` with a bare ok (no load or capacity
+/// fields, so the probe places it like an idle one-worker daemon), and then
+/// does what its mode says:
+///   * kRefuseAfterProbe — shuts its listener before its first reply, so
+///     every later connect is refused: a daemon that dies right after the
+///     probe;
+///   * kDropAtRun — drops each connection at its first run line: a daemon
+///     that dies mid-conversation, before it starts any run.
+class ProbeThenFailEndpoint {
+ public:
+  enum class Mode { kRefuseAfterProbe, kDropAtRun };
+
+  explicit ProbeThenFailEndpoint(Mode mode) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     sockaddr_in addr{};
     addr.sin_family = AF_INET;
     addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
     addr.sin_port = 0;
-    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+    EXPECT_EQ(::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
               0);
-    EXPECT_EQ(::listen(fd, 4), 0);
+    EXPECT_EQ(::listen(fd_, 4), 0);
     socklen_t len = sizeof(addr);
-    EXPECT_EQ(::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len),
+    EXPECT_EQ(::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len),
               0);
-    port = ntohs(addr.sin_port);
-    closer = std::thread([this] {
+    port_ = ntohs(addr.sin_port);
+    server_ = std::thread([this, mode] {
       for (;;) {
-        const int conn = ::accept(fd, nullptr, nullptr);
+        const int conn = ::accept(fd_, nullptr, nullptr);
         if (conn < 0) return;  // listener shut down
+        serve::LineReader reader(conn);
+        std::string line;
+        while (reader.read_line(line)) {
+          const auto message = util::Json::try_parse(line, nullptr);
+          if (!message.has_value() || !message->is_object() ||
+              util::string_field_or(*message, "verb") == "run") {
+            break;
+          }
+          if (mode == Mode::kRefuseAfterProbe) ::shutdown(fd_, SHUT_RDWR);
+          serve::send_json(
+              conn, serve::make_ok(util::u64_field_or(*message, "id", 0)));
+        }
         ::close(conn);
       }
     });
   }
-  ~AcceptAndCloseEndpoint() {
-    ::shutdown(fd, SHUT_RDWR);  // wakes the blocked accept
-    if (closer.joinable()) closer.join();
-    ::close(fd);
+
+  ~ProbeThenFailEndpoint() {
+    ::shutdown(fd_, SHUT_RDWR);  // wakes the blocked accept
+    if (server_.joinable()) server_.join();
+    ::close(fd_);
   }
 
-  int fd = -1;
-  int port = 0;
-  std::thread closer;
+  ProbeThenFailEndpoint(const ProbeThenFailEndpoint&) = delete;
+  ProbeThenFailEndpoint& operator=(const ProbeThenFailEndpoint&) = delete;
+
+  int port() const { return port_; }
+
+ private:
+  int fd_ = -1;
+  int port_ = 0;
+  std::thread server_;
 };
 
 /// Fire-on-the-Nth-call latch: `fire()` returns true exactly once, on the

@@ -16,8 +16,11 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <optional>
 #include <string>
@@ -1060,6 +1063,61 @@ TEST(Serve, ShutdownVerbDrainsTheServer) {
   Client late;
   EXPECT_THROW(late.connect("127.0.0.1", fixture.server->port()),
                std::runtime_error);
+}
+
+TEST(Serve, HardStopDuringDrainCancelsInFlightBatch) {
+  // The drain ladder's last rung: a graceful shutdown is waiting on an
+  // endless run when the hard stop arrives. The stop must still reach that
+  // batch, although its reader has left the read loop and wait() is already
+  // joining the connection: the reply carries the cancelled partial and
+  // wait() returns.
+  ServeConfig config;
+  config.jobs = 1;
+  ServerFixture fixture(config);
+  api::RunRequest endless = zdt1_request("moela", 1);
+  endless.options.max_evaluations = 50000000;
+  Client runner;
+  runner.connect("127.0.0.1", fixture.server->port());
+  auto reply = std::async(std::launch::async,
+                          [&runner, &endless] { return runner.run({endless}); });
+  wait_for_health(fixture.client, [](const Json& health) {
+    return util::u64_field_or(health, "running", 0) == 1;
+  });
+
+  fixture.server->request_shutdown();
+  auto waited =
+      std::async(std::launch::async, [&fixture] { fixture.server->wait(); });
+  // Let the drain take hold first: once a connect is refused the listener
+  // is shut and every reader has been nudged. The pause after it gives the
+  // readers and wait() time to reach their joins, which is where a stop
+  // that walks the batch records can miss one.
+  for (;;) {
+    Client probe;
+    try {
+      probe.connect("127.0.0.1", fixture.server->port());
+    } catch (const std::runtime_error&) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  fixture.server->signal_hard_stop();
+
+  // A regression hangs here; fail instead of stalling the suite (the stuck
+  // threads would also block the futures' destructors, so exit).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  if (reply.wait_until(deadline) != std::future_status::ready ||
+      waited.wait_until(deadline) != std::future_status::ready) {
+    ADD_FAILURE() << "the hard stop did not end the draining batch";
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  const std::vector<api::RunReport> reports = reply.get();
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_TRUE(reports[0].provenance.cancelled);
+  EXPECT_LT(reports[0].evaluations, 50000000u);
+  EXPECT_EQ(fixture.server->runs_cancelled(), 1u);
 }
 
 TEST(Serve, ProgrammaticShutdownUnblocksIdleConnections) {

@@ -6,8 +6,8 @@
 // plus the fault paths (tests/fault_injection.hpp): a daemon SIGKILLed
 // mid-run whose partial work resumes on the survivor from its streamed
 // snapshot, a dead shard's slice retried onto the survivor, exhausted
-// attempt caps failing the batch with attributable errors, the local
-// fallback, and stop-before-run cancellation.
+// attempt caps failing the batch with attributable errors, and
+// cancellation.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,7 +30,7 @@
 namespace moela::api {
 namespace {
 
-using fault::AcceptAndCloseEndpoint;
+using fault::ProbeThenFailEndpoint;
 using fault::closed_port;
 
 RunRequest zdt1_request(const std::string& algorithm, std::uint64_t seed) {
@@ -131,7 +131,7 @@ TEST(ShardedExecutor, RoundRobinBitIdenticalToInline) {
   config.endpoints = {{"127.0.0.1", a->port()},
                       {"127.0.0.1", b->port()},
                       {"127.0.0.1", c->port()}};
-  config.policy = ShardPolicy::kRoundRobin;
+  config.policy = ShardPolicy::kWeighted;
   ShardedExecutor sharded(config);
   const std::vector<RunReport> merged = sharded.run_all(sweep);
 
@@ -139,7 +139,8 @@ TEST(ShardedExecutor, RoundRobinBitIdenticalToInline) {
   for (std::size_t i = 0; i < merged.size(); ++i) {
     expect_equal_modulo_cache(reference[i], merged[i]);
   }
-  // Static placement: 6 requests round-robin over 3 healthy shards.
+  // Weighted placement over idle daemons with equal worker counts is
+  // round-robin: 6 requests, 2 per shard.
   std::size_t total = 0;
   for (const ShardStats& shard : sharded.shard_stats()) {
     EXPECT_TRUE(shard.healthy);
@@ -378,14 +379,15 @@ TEST(ShardedExecutor, DeadShardSliceRetriesOntoSurvivor) {
   const std::vector<RunRequest> sweep = sweep_requests();
   const std::vector<RunReport> reference = inline_reports(sweep);
 
+  // The dead endpoint passes the health probe and then refuses every
+  // connect: it keeps its static slice until a lane's connect fails, so the
+  // requeue machinery itself is on the hook.
+  ProbeThenFailEndpoint dead(ProbeThenFailEndpoint::Mode::kRefuseAfterProbe);
   auto survivor = make_server();
   ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", closed_port()},
+  config.endpoints = {{"127.0.0.1", dead.port()},
                       {"127.0.0.1", survivor->port()}};
-  config.policy = ShardPolicy::kRoundRobin;
-  // No placement gate: the dead shard keeps its static slice until its
-  // connect fails, so the requeue machinery itself is on the hook.
-  config.probe_health = false;
+  config.policy = ShardPolicy::kWeighted;
   ShardedExecutor sharded(config);
   const std::vector<RunReport> merged = sharded.run_all(sweep);
 
@@ -394,7 +396,7 @@ TEST(ShardedExecutor, DeadShardSliceRetriesOntoSurvivor) {
     expect_equal_modulo_cache(reference[i], merged[i]);
   }
   const std::vector<ShardStats>& stats = sharded.shard_stats();
-  EXPECT_FALSE(stats[0].healthy);  // assumed healthy only until connect fails
+  EXPECT_FALSE(stats[0].healthy);  // probed healthy only until connect fails
   EXPECT_EQ(stats[0].completed, 0u);
   EXPECT_GE(stats[0].failures, 1u);
   EXPECT_FALSE(stats[0].error.empty());
@@ -405,17 +407,16 @@ TEST(ShardedExecutor, MidRunTransportFailureHandsWholeSliceToSurvivor) {
   const std::vector<RunRequest> sweep = sweep_requests();
   const std::vector<RunReport> reference = inline_reports(sweep);
 
-  // The evil endpoint accepts the connection (so it passes the connect,
-  // unlike a closed port) and then drops it: its first chunk fails
-  // mid-conversation and its WHOLE static slice — not just the in-flight
-  // chunk — must migrate to the survivor, or the batch would hang.
-  AcceptAndCloseEndpoint evil;
+  // The evil endpoint passes the probe and the connect (unlike a closed
+  // port) and then drops the connection at the run line: its first chunk
+  // fails mid-conversation and its WHOLE static slice — not just the
+  // in-flight chunk — must migrate to the survivor, or the batch would hang.
+  ProbeThenFailEndpoint evil(ProbeThenFailEndpoint::Mode::kDropAtRun);
   auto survivor = make_server();
   ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", evil.port},
+  config.endpoints = {{"127.0.0.1", evil.port()},
                       {"127.0.0.1", survivor->port()}};
-  config.policy = ShardPolicy::kRoundRobin;
-  config.probe_health = false;
+  config.policy = ShardPolicy::kWeighted;
   ShardedExecutor sharded(config);
   const std::vector<RunReport> merged = sharded.run_all(sweep);
 
@@ -452,7 +453,9 @@ TEST(ShardedExecutor, DaemonKilledMidRunResumesOnSurvivorBitIdentical) {
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", survivor->port()},
                       {"127.0.0.1", victim.port()}};
-  config.policy = ShardPolicy::kRoundRobin;  // victim owns the odd indices
+  // Idle daemons with equal worker counts: weighted placement is
+  // round-robin, so the victim owns the odd indices.
+  config.policy = ShardPolicy::kWeighted;
   config.stream_progress = true;
   ShardedExecutor sharded(config);
 
@@ -512,7 +515,9 @@ TEST(ShardedExecutor, DaemonKilledHoldingQueuedChunkResumesBitIdentical) {
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", survivor->port()},
                       {"127.0.0.1", victim.port()}};
-  config.policy = ShardPolicy::kRoundRobin;  // victim owns the odd indices
+  // Idle daemons with equal worker counts: weighted placement is
+  // round-robin, so the victim owns the odd indices.
+  config.policy = ShardPolicy::kWeighted;
   config.stream_progress = true;
   ShardedExecutor sharded(config);
 
@@ -562,14 +567,14 @@ TEST(ShardedExecutor, TransportDeathBeforeStartDoesNotChargeAttempts) {
   const std::vector<RunRequest> sweep = sweep_requests();
   const std::vector<RunReport> reference = inline_reports(sweep);
 
-  AcceptAndCloseEndpoint evil;
+  // Size-1 chunks, the per-request charging path: the evil endpoint's
+  // probe reports no worker count and the survivor has one worker.
+  ProbeThenFailEndpoint evil(ProbeThenFailEndpoint::Mode::kDropAtRun);
   auto survivor = make_server();
   ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", evil.port},
+  config.endpoints = {{"127.0.0.1", evil.port()},
                       {"127.0.0.1", survivor->port()}};
-  config.policy = ShardPolicy::kRoundRobin;
-  config.probe_health = false;
-  config.steal_chunk = 1;   // size-1 chunks: the per-request charging path
+  config.policy = ShardPolicy::kWeighted;
   config.max_attempts = 1;  // zero tolerance for a spurious charge
   ShardedExecutor sharded(config);
   const std::vector<RunReport> merged = sharded.run_all(sweep);
