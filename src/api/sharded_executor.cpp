@@ -30,7 +30,7 @@ using util::Json;
 constexpr std::size_t kLanesPerShard = 2;
 
 /// The work pool shared by the lanes. `owned[s]` holds shard s's static
-/// round-robin slice; `pending` holds the work-stealing pool and every
+/// weighted slice; `pending` holds the work-stealing pool and every
 /// requeued index. An index is always in exactly one place: some owned
 /// queue, pending, in flight at a lane, or retired (done/failed).
 struct SharedState {
@@ -46,8 +46,6 @@ struct SharedState {
   std::vector<std::size_t> attempts MOELA_GUARDED_BY(mutex);
   std::vector<std::string> request_error MOELA_GUARDED_BY(mutex);
   std::vector<char> done MOELA_GUARDED_BY(mutex);
-  // attempts exhausted; never requeued again
-  std::vector<char> failed MOELA_GUARDED_BY(mutex);
   /// Member of a failed multi-request chunk: must be retried ALONE so the
   /// failure is attributable to it (and charged to it) rather than to
   /// whatever shared its wire batch.
@@ -344,15 +342,14 @@ void run_shard(const ShardedExecutorConfig& config,
           // request genuinely ran and failed.)
           shared.pending.push_back(i);
           ++handed_back;
-        } else if (++shared.attempts[i] >= config.max_attempts) {
-          shared.failed[i] = 1;
-        } else {
+        } else if (++shared.attempts[i] < config.max_attempts) {
           // Reset the started mark so the NEXT shard's transport failure
           // is charged (or not) on its own evidence.
           shared.started[i] = 0;
           shared.pending.push_back(i);
           ++handed_back;
         }
+        // Otherwise its attempts are exhausted: it is never requeued again.
       }
       // Retiring mid-run: the rest of this shard's static slice must go to
       // the survivors too, or they would wait on it forever.
@@ -382,11 +379,7 @@ RunReport cancelled_report(const RunRequest& request) {
 }  // namespace
 
 bool parse_shard_policy(const std::string& text, ShardPolicy& out) {
-  if (text == "round-robin") {
-    out = ShardPolicy::kRoundRobin;
-    return true;
-  }
-  if (text == "work-steal" || text == "work-stealing") {
+  if (text == "work-steal") {
     out = ShardPolicy::kWorkStealing;
     return true;
   }
@@ -398,15 +391,7 @@ bool parse_shard_policy(const std::string& text, ShardPolicy& out) {
 }
 
 std::string shard_policy_name(ShardPolicy policy) {
-  switch (policy) {
-    case ShardPolicy::kRoundRobin:
-      return "round-robin";
-    case ShardPolicy::kWeighted:
-      return "weighted";
-    case ShardPolicy::kWorkStealing:
-      break;
-  }
-  return "work-steal";
+  return policy == ShardPolicy::kWeighted ? "weighted" : "work-steal";
 }
 
 std::string ShardEndpoint::to_string() const {
@@ -447,8 +432,8 @@ std::vector<RunReport> ShardedExecutor::run_all(
   // one blackholed endpoint cannot serialize the whole fleet's startup
   // behind its TCP connect timeout.
   std::vector<std::size_t> healthy;
-  /// What each probe reported; zero when unprobed or the daemon predates
-  /// the field. `load` (runs executing + runs queued, each counted once)
+  /// What each probe reported; zero when the probe failed or the daemon
+  /// predates the field. `load` (runs executing + runs queued, each counted once)
   /// is the kWeighted placement's second input; `max_inflight` is the
   /// daemon's per-connection bound.
   struct Probed {
@@ -457,46 +442,43 @@ std::vector<RunReport> ShardedExecutor::run_all(
     std::size_t max_inflight = 0;
   };
   std::vector<Probed> probed(config_.endpoints.size());
-  if (config_.probe_health) {
-    std::vector<std::thread> probes;
-    probes.reserve(config_.endpoints.size());
-    for (std::size_t s = 0; s < config_.endpoints.size(); ++s) {
-      probes.emplace_back([this, s, &probed] {
-        const ShardEndpoint& endpoint = config_.endpoints[s];
-        try {
-          serve::Client probe;
-          probe.connect(endpoint.host, endpoint.port);
-          bool accepting = true;
-          try {
-            const Json health = probe.health();
-            if (const Json* a = health.find("accepting");
-                a != nullptr && a->is_bool()) {
-              accepting = a->as_bool();
-            }
-            probed[s].jobs = util::u64_field_or(health, "jobs", 0);
-            probed[s].load = util::u64_field_or(health, "running", 0) +
-                             util::u64_field_or(health, "queued", 0);
-            probed[s].max_inflight =
-                util::u64_field_or(health, "max_inflight", 0);
-          } catch (const serve::RemoteError&) {
-            accepting = probe.ping();  // daemon predates the health verb
-          }
-          if (accepting) {
-            stats_[s].healthy = true;
-          } else {
-            stats_[s].error =
-                endpoint.to_string() + ": draining, not accepting runs";
-          }
-        } catch (const std::exception& e) {
-          stats_[s].failures += 1;
-          stats_[s].error = e.what();
-        }
-      });
-    }
-    for (auto& probe : probes) probe.join();
-  }
+  std::vector<std::thread> probes;
+  probes.reserve(config_.endpoints.size());
   for (std::size_t s = 0; s < config_.endpoints.size(); ++s) {
-    if (!config_.probe_health) stats_[s].healthy = true;
+    probes.emplace_back([this, s, &probed] {
+      const ShardEndpoint& endpoint = config_.endpoints[s];
+      try {
+        serve::Client probe;
+        probe.connect(endpoint.host, endpoint.port);
+        bool accepting = true;
+        try {
+          const Json health = probe.health();
+          if (const Json* a = health.find("accepting");
+              a != nullptr && a->is_bool()) {
+            accepting = a->as_bool();
+          }
+          probed[s].jobs = util::u64_field_or(health, "jobs", 0);
+          probed[s].load = util::u64_field_or(health, "running", 0) +
+                           util::u64_field_or(health, "queued", 0);
+          probed[s].max_inflight =
+              util::u64_field_or(health, "max_inflight", 0);
+        } catch (const serve::RemoteError&) {
+          accepting = probe.ping();  // daemon predates the health verb
+        }
+        if (accepting) {
+          stats_[s].healthy = true;
+        } else {
+          stats_[s].error =
+              endpoint.to_string() + ": draining, not accepting runs";
+        }
+      } catch (const std::exception& e) {
+        stats_[s].failures += 1;
+        stats_[s].error = e.what();
+      }
+    });
+  }
+  for (auto& probe : probes) probe.join();
+  for (std::size_t s = 0; s < config_.endpoints.size(); ++s) {
     if (stats_[s].healthy) healthy.push_back(s);
   }
 
@@ -510,7 +492,6 @@ std::vector<RunReport> ShardedExecutor::run_all(
     shared.attempts.assign(n, 0);
     shared.request_error.assign(n, std::string());
     shared.done.assign(n, 0);
-    shared.failed.assign(n, 0);
     shared.solo.assign(n, 0);
     shared.finish_reported.assign(n, 0);
     shared.started.assign(n, 0);
@@ -522,20 +503,16 @@ std::vector<RunReport> ShardedExecutor::run_all(
       // Placement happens under the mutex; released before the lanes
       // spawn (they block on it immediately).
       util::MutexLock lock(shared.mutex);
-      if (config_.policy == ShardPolicy::kRoundRobin) {
-        for (std::size_t i = 0; i < n; ++i) {
-          shared.owned[healthy[i % healthy.size()]].push_back(i);
-        }
-        shared.owned_total = n;
-      } else if (config_.policy == ShardPolicy::kWeighted) {
+      if (config_.policy == ShardPolicy::kWeighted) {
         // Load-aware static placement: each request (in order, so the
         // partition is deterministic given the probe) goes to the shard
         // with the lowest projected utilization
         //     (reported load + assigned so far) / worker capacity,
-        // compared exactly by cross-multiplication — a 4-worker idle daemon
-        // owns 4x what a 1-worker one does, and a daemon already loaded by
-        // OTHER clients starts with that handicap. Requeue/steal dynamics
-        // on failure are identical to round-robin's.
+        // compared exactly by cross-multiplication, ties to the earliest
+        // shard — a 4-worker idle daemon owns 4x what a 1-worker one does,
+        // a daemon already loaded by OTHER clients starts with that
+        // handicap, and idle daemons with equal worker counts split the
+        // batch round-robin.
         std::vector<std::uint64_t> assigned(config_.endpoints.size(), 0);
         for (std::size_t i = 0; i < n; ++i) {
           std::size_t best = healthy.front();
@@ -561,20 +538,18 @@ std::vector<RunReport> ShardedExecutor::run_all(
     std::vector<std::thread> lanes;
     lanes.reserve(healthy.size() * kLanesPerShard);
     for (const std::size_t s : healthy) {
-      // Wire-batch size: an explicit steal_chunk wins. A lone shard gets
-      // the whole batch in one wire batch (capped at its probed in-flight
-      // bound, which is per connection, so both lanes may carry a capped
-      // piece at once): splitting it would only add rounds, each waiting
-      // on its slowest run. With peers, each chunk is the daemon's probed
-      // worker count, so a chunk saturates the daemon's Executor pool, the
-      // other lane's chunk waits in its queue, and the rest of the batch
-      // stays stealable.
-      std::size_t chunk_size = config_.steal_chunk;
-      if (chunk_size == 0 && healthy.size() == 1) {
+      // Wire-batch size. A lone shard gets the whole batch in one wire
+      // batch (capped at its probed in-flight bound, which is per
+      // connection, so both lanes may carry a capped piece at once):
+      // splitting it would only add rounds, each waiting on its slowest
+      // run. With peers, each chunk is the daemon's probed worker count, so
+      // a chunk saturates the daemon's Executor pool, the other lane's
+      // chunk waits in its queue, and the rest of the batch stays
+      // stealable.
+      std::size_t chunk_size = std::max<std::size_t>(1, probed[s].jobs);
+      if (healthy.size() == 1) {
         const std::size_t cap = probed[s].max_inflight;
         chunk_size = cap > 0 ? std::min(n, cap) : n;
-      } else if (chunk_size == 0) {
-        chunk_size = std::max<std::size_t>(1, probed[s].jobs);
       }
       for (std::size_t lane = 0; lane < kLanesPerShard; ++lane) {
         lanes.emplace_back([this, s, chunk_size, n, &requests, &reports,

@@ -42,22 +42,27 @@
 // lane's chunk already waits in the daemon's queue, so the daemon never
 // idles through a round trip; a one-chunk batch still uses one connection.
 // Both lanes pull from the same shard slice and retire together when either
-// loses the daemon. Placement policies:
-//   * kRoundRobin   — request i goes to healthy shard (i mod k), decided
-//                     up front; shards only pick up requeued work from
-//                     failed peers.
-//   * kWorkStealing — lanes pull `steal_chunk` requests from one shared
-//                     queue as their previous replies arrive, so a fast
-//                     (or cache-warm) daemon naturally serves more of the
+// loses the daemon. Every endpoint's `health` verb is probed before
+// placement; dead or draining daemons get no share. Placement policies:
+//   * kWorkStealing — lanes pull one chunk at a time from one shared queue
+//                     as their previous replies arrive, so a fast (or
+//                     cache-warm) daemon naturally serves more of the
 //                     batch.
-//   * kWeighted     — static like round-robin, but each request goes to
-//                     the shard with the lowest projected utilization
-//                     (health-reported running + queued load, plus what
-//                     this placement already assigned, over the daemon's
-//                     worker count) — so a big or idle daemon owns more of
-//                     the batch and a busy one is not pile-driven. Needs
-//                     the health probe; without it every shard looks
-//                     identical and placement degrades to round-robin.
+//   * kWeighted     — static, decided up front: request i goes to the
+//                     shard with the lowest projected utilization (probed
+//                     running + queued load, plus what this placement
+//                     already assigned, over the daemon's worker count),
+//                     ties to the earliest shard. So a big or idle daemon
+//                     owns more of the batch and a busy one is not
+//                     pile-driven; on idle daemons with equal worker counts
+//                     it is round-robin. Shards only pick up requeued work
+//                     from failed peers.
+// A chunk (one wire batch) is sized from the probe: a lone shard takes the
+// whole batch, capped at its daemon's max_inflight (uncapped when the probe
+// reported none; the bound is per connection, so the two lanes may each
+// carry a capped piece); with peers, a chunk is the daemon's worker count
+// (1 when unreported), so one chunk saturates its Executor pool and the
+// other lane's waits in its queue.
 #pragma once
 
 #include <cstddef>
@@ -71,10 +76,9 @@
 
 namespace moela::api {
 
-enum class ShardPolicy { kRoundRobin, kWorkStealing, kWeighted };
+enum class ShardPolicy { kWorkStealing, kWeighted };
 
-/// "round-robin" / "work-steal" (also accepts "work-stealing") /
-/// "weighted".
+/// "work-steal" / "weighted".
 bool parse_shard_policy(const std::string& text, ShardPolicy& out);
 std::string shard_policy_name(ShardPolicy policy);
 
@@ -102,23 +106,6 @@ struct ShardedExecutorConfig {
   /// any one member), and transport failures that requeue never-started
   /// requests do not count either.
   std::size_t max_attempts = 3;
-  /// Requests submitted per wire batch (every lane pulls this many at a
-  /// time, and each shard has two lanes in flight). 0 (the default) sizes
-  /// chunks from the health probe: a lone healthy shard takes the whole
-  /// batch in one wire batch, capped at the daemon's probed max_inflight
-  /// (uncapped when the probe reported none; the bound is per connection,
-  /// so the two lanes may each carry a capped piece); with peers, each
-  /// shard's chunk is its daemon's probed worker count, so one chunk
-  /// saturates the daemon's Executor pool and the other lane's waits in
-  /// its queue. An explicit value >= 1 fixes it. With peers, auto sizing
-  /// needs the probe: with probe_health off (or a daemon predating the
-  /// health verb) it degrades to 1 — set an explicit value there.
-  std::size_t steal_chunk = 0;
-  /// Probe each endpoint's `health` verb before placement and leave
-  /// endpoints that do not answer (or are draining) out of the initial
-  /// partition. Disable to let connect failures surface through the
-  /// requeue machinery instead.
-  bool probe_health = true;
   /// Checkpoint every dispatched request (RunRequest::checkpoint): the
   /// daemons stream RunSnapshots at the snapshot cadence, the coordinator
   /// keeps the latest per request, and a request requeued after a shard
@@ -145,8 +132,7 @@ struct ShardedExecutorConfig {
 /// config.endpoints.
 struct ShardStats {
   std::string endpoint;
-  /// Answered the health probe (with probe_health off: assumed healthy
-  /// until its connect fails).
+  /// Answered the health probe, and no lane's connect to it failed after.
   bool healthy = false;
   /// Reports this shard contributed to the merged batch.
   std::size_t completed = 0;

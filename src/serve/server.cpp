@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
@@ -222,9 +223,13 @@ void Server::watcher_loop() {
     if (n <= 0 || watcher_exit_.load(std::memory_order_relaxed)) return;
     if (shutdown_requested()) begin_drain();
     if (hard_stop_.load(std::memory_order_relaxed)) {
-      util::MutexLock lock(control_mutex_);
-      for (api::RunControl* control : active_controls_) {
-        control->request_stop();
+      util::MutexLock lock(conn_mutex_);
+      for (const auto& entry : connections_) {
+        Connection& connection = *entry.first;
+        util::MutexLock batch_lock(connection.batch_mutex);
+        for (Connection::Batch& batch : connection.batches) {
+          if (!batch.answered) batch.control->request_stop();
+        }
       }
     }
   }
@@ -266,14 +271,18 @@ void Server::wait() {
   // idempotent and guarantees every reader unblocks before the joins
   // below.
   begin_drain();
-  // No new connections can appear past this point.
-  std::vector<std::pair<std::shared_ptr<Connection>, std::thread>> remaining;
+  // No new connections can appear past this point. Only the reader threads
+  // move out: the connections stay, so a hard stop arriving while the
+  // readers drain still reaches their batches.
+  std::vector<std::thread> readers;
   {
     util::MutexLock conn_lock(conn_mutex_);
-    remaining.swap(connections_);
+    for (auto& entry : connections_) {
+      readers.push_back(std::move(entry.second));
+    }
   }
-  for (auto& [connection, thread] : remaining) {
-    if (thread.joinable()) thread.join();
+  for (std::thread& reader : readers) {
+    if (reader.joinable()) reader.join();
   }
   watcher_exit_.store(true, std::memory_order_relaxed);
   const char byte = 'x';
@@ -308,15 +317,24 @@ void Server::serve_connection(const std::shared_ptr<Connection>& connection) {
     handle_line(connection, line);
   }
   // Reader is done (EOF, error, or drain nudge): finish in-flight batches
-  // so their responses go out, then close.
-  std::vector<std::pair<std::shared_ptr<std::atomic<bool>>, std::thread>>
-      batches;
+  // so their responses go out, then close. Only the collector threads move
+  // out: the records stay until their collectors are joined, so a hard stop
+  // arriving meanwhile still finds the unanswered ones.
+  std::vector<std::thread> collectors;
   {
     util::MutexLock lock(connection->batch_mutex);
-    batches.swap(connection->batches);
+    for (Connection::Batch& batch : connection->batches) {
+      collectors.push_back(std::move(batch.collector));
+    }
   }
-  for (auto& [done, thread] : batches) {
-    if (thread.joinable()) thread.join();
+  for (std::thread& collector : collectors) {
+    if (collector.joinable()) collector.join();
+  }
+  {
+    // Each record's control holds a progress callback that holds this
+    // connection: dropping the records breaks that cycle.
+    util::MutexLock lock(connection->batch_mutex);
+    connection->batches.clear();
   }
   // Close under conn_mutex_ so begin_drain() can never shutdown() an fd
   // number the OS has already reused.
@@ -463,6 +481,17 @@ std::uint64_t Server::runs_cancelled() const {
   return sum_class_counters(*executor_, &api::ClassCounters::cancelled);
 }
 
+std::size_t Server::inflight_total() {
+  util::MutexLock lock(conn_mutex_);
+  std::size_t runs = 0;
+  for (const auto& entry : connections_) {
+    Connection& connection = *entry.first;
+    util::MutexLock batch_lock(connection.batch_mutex);
+    runs += connection.inflight();
+  }
+  return runs;
+}
+
 Json Server::sched_classes_json() const {
   Json classes = Json::object();
   for (std::size_t c = 0; c < api::kNumClasses; ++c) {
@@ -531,48 +560,15 @@ void Server::handle_run(const std::shared_ptr<Connection>& connection,
     }
   }
 
-  // The per-connection in-flight bound: reserve slots or reject.
-  const std::size_t batch_size = requests.size();
-  std::size_t inflight = connection->inflight.load(std::memory_order_relaxed);
-  for (;;) {
-    if (inflight + batch_size > config_.max_inflight) {
-      respond_error("run: in-flight limit exceeded (" +
-                    util::dec(inflight) + " queued + " +
-                    util::dec(batch_size) + " requested > " +
-                    util::dec(config_.max_inflight) + ")");
-      return;
-    }
-    if (connection->inflight.compare_exchange_weak(
-            inflight, inflight + batch_size, std::memory_order_relaxed)) {
-      break;
-    }
-  }
-  inflight_total_.fetch_add(batch_size, std::memory_order_relaxed);
-
   // Labels ride with the progress callback (owned: the callback outlives
   // this frame inside the control).
+  const std::size_t batch_size = requests.size();
   auto labels = std::make_shared<std::vector<std::string>>();
   labels->reserve(batch_size);
   for (const auto& request : requests) {
     labels->push_back(request.label_or_default());
   }
 
-  util::MutexLock lock(connection->batch_mutex);
-  // Reap finished collector threads so a long-lived connection does not
-  // accumulate them.
-  for (auto it = connection->batches.begin();
-       it != connection->batches.end();) {
-    if (it->first->load(std::memory_order_acquire) && it->second.joinable()) {
-      it->second.join();
-      it = connection->batches.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  // Register the batch's control under its id BEFORE the Executor can
-  // start (or a collector thread exists): a client may fire the cancel
-  // verb immediately after the run line, and the reader must find the
-  // control no matter how the threads interleave.
   auto control = std::make_shared<api::RunControl>();
   // The batch's trace id (every request in a batch carries the same one)
   // and admission clock, echoed on every streamed event: "trace" lets an
@@ -580,8 +576,8 @@ void Server::handle_run(const std::shared_ptr<Connection>& connection,
   // monotonic) lets a client spot a stalled run without local bookkeeping.
   const std::string trace = requests.front().trace_id;
   auto admitted = std::make_shared<util::Timer>();
-  // The progress callback likewise goes in BEFORE the first run can
-  // start, or early events would be lost.
+  // The progress callback goes in BEFORE the first run can start, or early
+  // events would be lost.
   control->on_progress([connection, id, labels, stream_progress, trace,
                         admitted](const api::RunProgress& progress) {
     // Snapshot-bearing events always go out: a checkpointing client that
@@ -614,38 +610,56 @@ void Server::handle_run(const std::shared_ptr<Connection>& connection,
     util::MutexLock write_lock(connection->write_mutex);
     send_json(connection->fd, event);
   });
+
+  // The per-connection in-flight bound: reserve slots by inserting the
+  // batch's record, or reject. The record goes in BEFORE the Executor can
+  // start (or a collector thread exists): a client may fire the cancel verb
+  // immediately after the run line, and the reader must find it no matter
+  // how the threads interleave.
+  Connection::Batch* batch = nullptr;
+  std::size_t inflight = 0;
+  std::list<Connection::Batch> reaped;
   {
-    util::MutexLock run_lock(connection->run_mutex);
-    connection->active_runs.emplace(id, control);
+    util::MutexLock lock(connection->batch_mutex);
+    // Reap the batches whose reply is out (their collector dropped the
+    // control after sending) so a long-lived connection does not
+    // accumulate them; their threads are joined below, outside the lock.
+    for (auto it = connection->batches.begin();
+         it != connection->batches.end();) {
+      const auto next = std::next(it);
+      if (it->control == nullptr) {
+        reaped.splice(reaped.end(), connection->batches, it);
+      }
+      it = next;
+    }
+    inflight = connection->inflight();
+    if (inflight + batch_size <= config_.max_inflight) {
+      batch = &connection->batches.emplace_back();
+      batch->id = id;
+      batch->runs = batch_size;
+      batch->control = control;
+      if (hard_stop_.load(std::memory_order_relaxed)) control->request_stop();
+    }
   }
-  {
-    util::MutexLock control_lock(control_mutex_);
-    active_controls_.insert(control.get());
-    if (hard_stop_.load(std::memory_order_relaxed)) control->request_stop();
+  for (Connection::Batch& done : reaped) done.collector.join();
+  if (batch == nullptr) {
+    respond_error("run: in-flight limit exceeded (" + util::dec(inflight) +
+                  " queued + " + util::dec(batch_size) + " requested > " +
+                  util::dec(config_.max_inflight) + ")");
+    return;
   }
 
   api::Executor::Admission admission = executor_->submit(
       std::move(requests), control.get(), priority, connection->lane);
   if (!admission.admitted) {
-    // Shed: unwind every registration this frame made (no slot may leak),
-    // then answer with the structured overload facts so the client can
-    // back off instead of guessing.
+    // Shed: erase the record (no slot may leak), then answer with the
+    // structured overload facts so the client can back off instead of
+    // guessing.
     {
-      util::MutexLock run_lock(connection->run_mutex);
-      auto [begin, end] = connection->active_runs.equal_range(id);
-      for (auto it = begin; it != end; ++it) {
-        if (it->second == control) {
-          connection->active_runs.erase(it);
-          break;
-        }
-      }
+      util::MutexLock lock(connection->batch_mutex);
+      connection->batches.remove_if(
+          [batch](const Connection::Batch& b) { return &b == batch; });
     }
-    {
-      util::MutexLock control_lock(control_mutex_);
-      active_controls_.erase(control.get());
-    }
-    connection->inflight.fetch_sub(batch_size, std::memory_order_relaxed);
-    inflight_total_.fetch_sub(batch_size, std::memory_order_relaxed);
     Json error = make_error(
         id, "overloaded: " + util::dec(admission.queue_depth) +
                 " run(s) queued + " + util::dec(batch_size) +
@@ -661,15 +675,12 @@ void Server::handle_run(const std::shared_ptr<Connection>& connection,
     return;
   }
 
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  std::thread collector([this, connection, id,
-                         futures = std::move(admission.futures), priority,
-                         control, done]() mutable {
-    run_batch(connection, id, std::move(futures), priority,
-              std::move(control));
-    done->store(true, std::memory_order_release);
-  });
-  connection->batches.emplace_back(std::move(done), std::move(collector));
+  util::MutexLock lock(connection->batch_mutex);
+  batch->collector = std::thread(
+      [this, connection, batch, futures = std::move(admission.futures),
+       priority]() mutable {
+        run_batch(connection, batch, std::move(futures), priority);
+      });
 }
 
 void Server::handle_cancel(const std::shared_ptr<Connection>& connection,
@@ -697,11 +708,12 @@ void Server::handle_cancel(const std::shared_ptr<Connection>& connection,
   // answers "cancelled": false so the client can tell a no-op from a hit.
   bool cancelled = false;
   {
-    util::MutexLock lock(connection->run_mutex);
-    auto [begin, end] = connection->active_runs.equal_range(target);
-    for (auto it = begin; it != end; ++it) {
-      it->second->request_stop();
-      cancelled = true;
+    util::MutexLock lock(connection->batch_mutex);
+    for (Connection::Batch& batch : connection->batches) {
+      if (batch.id == target && !batch.answered) {
+        batch.control->request_stop();
+        cancelled = true;
+      }
     }
   }
   Json response = make_ok(id);
@@ -710,11 +722,11 @@ void Server::handle_cancel(const std::shared_ptr<Connection>& connection,
 }
 
 void Server::run_batch(std::shared_ptr<Connection> connection,
-                       std::uint64_t id,
+                       Connection::Batch* batch,
                        std::vector<std::future<api::RunReport>> futures,
-                       api::Priority priority,
-                       std::shared_ptr<api::RunControl> control_ptr) {
-  const std::size_t batch_size = futures.size();
+                       api::Priority priority) {
+  // Set before this thread started and never changed after.
+  const std::uint64_t id = batch->id;
   const std::string priority_name = api::priority_name(priority);
   // The final response, make_ok(id) plus "reports", written as the runs
   // finish: each report streams onto the line, no JSON tree in between.
@@ -739,32 +751,23 @@ void Server::run_batch(std::shared_ptr<Connection> connection,
   }
   writer.end_array().end_object();
 
-  // The batch has answered (reports collected): retire it from the
-  // cancel registry — a later cancel for this id is the benign no-op.
+  // The batch has answered (reports collected): its slots are released
+  // and a later cancel for this id is the benign no-op. Marked BEFORE the
+  // final response goes out, so a client that reads the response and
+  // immediately asks `health` never observes its own finished batch as
+  // load.
   {
-    util::MutexLock lock(connection->run_mutex);
-    auto [begin, end] = connection->active_runs.equal_range(id);
-    for (auto it = begin; it != end; ++it) {
-      if (it->second == control_ptr) {
-        connection->active_runs.erase(it);
-        break;
-      }
-    }
+    util::MutexLock lock(connection->batch_mutex);
+    batch->answered = true;
   }
-  {
-    util::MutexLock lock(control_mutex_);
-    active_controls_.erase(control_ptr.get());
-  }
-
-  // Release the in-flight slots BEFORE the final response goes out, so a
-  // client that reads the response and immediately asks `health` never
-  // observes its own finished batch as load.
-  connection->inflight.fetch_sub(batch_size, std::memory_order_relaxed);
-  inflight_total_.fetch_sub(batch_size, std::memory_order_relaxed);
   {
     util::MutexLock lock(connection->write_mutex);
     send_line(connection->fd, line);
   }
+  // The reply is out: dropping the control marks the record for reaping,
+  // since joining this thread can no longer wait on a socket write.
+  util::MutexLock lock(connection->batch_mutex);
+  batch->control.reset();
 }
 
 }  // namespace moela::serve

@@ -27,23 +27,29 @@
 //   * one watcher thread parked on a self-pipe, the async-signal-safe
 //     bridge from SIGINT/SIGTERM to an orderly drain.
 //
-// Cancellation: each in-flight "run" batch registers its RunControl under
-// the request id, so a "cancel" verb read on the same connection can flip
-// it mid-batch — the batch still answers, its unfinished runs marked
-// cancelled, and its in-flight slots are released before the response.
+// Cancellation: each admitted "run" batch is one record on its connection
+// (Connection::Batch: request id, run count, RunControl, collector thread),
+// so a "cancel" verb read on the same connection can flip it mid-batch — the
+// batch still answers, its unfinished runs marked cancelled, and its
+// in-flight slots are released before the response.
 //
 // Shutdown ladder: request_shutdown()/signal_shutdown() stop the accept
 // loop, reject new "run" verbs, nudge idle readers (SHUT_RD), and let
 // in-flight batches finish and deliver their responses. signal_hard_stop()
-// additionally flips every active batch's RunControl, so in-flight runs
-// wind down at their next budget check with partial (cancelled) reports.
+// additionally flips the RunControl of every unanswered batch record on
+// every connection, so in-flight runs wind down at their next budget check
+// with partial (cancelled) reports.
+//
+// Lock order: conn_mutex_, then a connection's batch_mutex, then its
+// write_mutex. No thread holds conn_mutex_ or batch_mutex across a socket
+// write.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <list>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -145,10 +151,8 @@ class Server {
   std::uint64_t runs_cancelled() const;
 
   /// Runs queued or running across all connections right now (for tests
-  /// and the health verb).
-  std::size_t inflight_total() const {
-    return inflight_total_.load(std::memory_order_relaxed);
-  }
+  /// and the health verb): the runs of every unanswered batch record.
+  std::size_t inflight_total();
 
   /// The daemon's telemetry registry. Every layer (verb dispatch, the
   /// cache, the Executor and its queue) feeds it; the `metrics` verb
@@ -177,23 +181,37 @@ class Server {
     /// there is nothing to MOELA_GUARDED_BY — holding it around every
     /// send_line is the whole protocol.
     util::Mutex write_mutex;
-    /// Runs queued or running on this connection (the in-flight bound).
-    std::atomic<std::size_t> inflight{0};
-    /// Batch dispatcher threads, reaped as they finish and joined on
-    /// connection close.
+    /// One admitted "run" batch, the single record of it: the cancel verb,
+    /// the hard stop, the in-flight bound and the health verb's load all
+    /// read it. handle_run inserts it BEFORE the batch reaches the
+    /// Executor — a cancel that chases its run down the same pipe must
+    /// find it no matter how the reader and collector threads interleave —
+    /// and it is kept until its collector thread is joined.
+    struct Batch {
+      /// The client-chosen request id. Nothing stops a client reusing one,
+      /// so cancel stops every unanswered batch carrying the target id.
+      std::uint64_t id = 0;
+      /// Runs in the batch; they count as queued or running until the
+      /// batch has answered.
+      std::size_t runs = 0;
+      std::shared_ptr<api::RunControl> control;
+      /// Awaits the batch's futures and sends its reply.
+      std::thread collector;
+      /// Set by the collector once every report is in, before the reply
+      /// goes out: the batch is no longer load, and neither a cancel nor
+      /// the hard stop touches it again.
+      bool answered = false;
+    };
     util::Mutex batch_mutex;
-    std::vector<std::pair<std::shared_ptr<std::atomic<bool>>, std::thread>>
-        batches MOELA_GUARDED_BY(batch_mutex);
-    /// In-flight "run" batches by request id, so a "cancel" verb on this
-    /// connection can flip the batch's RunControl. Registered by
-    /// handle_run BEFORE the dispatcher thread spawns — a cancel that
-    /// chases its run down the same pipe must find the entry no matter
-    /// how the reader and dispatcher threads interleave. A multimap
-    /// because ids are client-chosen and nothing stops a client reusing
-    /// one; cancel then stops every batch carrying the target id.
-    util::Mutex run_mutex;
-    std::multimap<std::uint64_t, std::shared_ptr<api::RunControl>>
-        active_runs MOELA_GUARDED_BY(run_mutex);
+    std::list<Batch> batches MOELA_GUARDED_BY(batch_mutex);
+    /// Runs queued or running on this connection (the in-flight bound).
+    std::size_t inflight() const MOELA_REQUIRES(batch_mutex) {
+      std::size_t runs = 0;
+      for (const Batch& batch : batches) {
+        if (!batch.answered) runs += batch.runs;
+      }
+      return runs;
+    }
     std::atomic<bool> done{false};
   };
 
@@ -207,12 +225,12 @@ class Server {
   void handle_cancel(const std::shared_ptr<Connection>& connection,
                      std::uint64_t id, const util::Json& message);
   /// Awaits one admitted batch's futures (completion order decided by the
-  /// Executor's queue), stamps the class into each report's provenance, and sends
-  /// the final response.
-  void run_batch(std::shared_ptr<Connection> connection, std::uint64_t id,
+  /// Executor's queue), stamps the class into each report's provenance,
+  /// marks the batch answered and sends the final response.
+  void run_batch(std::shared_ptr<Connection> connection,
+                 Connection::Batch* batch,
                  std::vector<std::future<api::RunReport>> futures,
-                 api::Priority priority,
-                 std::shared_ptr<api::RunControl> control);
+                 api::Priority priority);
   /// The health verb's per-class counter block.
   util::Json sched_classes_json() const;
   /// Stops the listener and nudges idle connection readers; safe to call
@@ -252,20 +270,15 @@ class Server {
   std::thread accept_thread_;
   std::thread watcher_thread_;
   util::Mutex conn_mutex_;
+  /// Every connection with its reader thread. wait() moves the threads out
+  /// to join them but leaves the connections, so a hard stop arriving
+  /// during the drain still reaches their batches.
   std::vector<std::pair<std::shared_ptr<Connection>, std::thread>>
       connections_ MOELA_GUARDED_BY(conn_mutex_);
-
-  /// Active per-batch controls, so a hard stop can cancel in-flight runs.
-  util::Mutex control_mutex_;
-  std::set<api::RunControl*> active_controls_
-      MOELA_GUARDED_BY(control_mutex_);
 
   std::atomic<bool> stop_{false};
   std::atomic<bool> hard_stop_{false};
   std::atomic<bool> watcher_exit_{false};
-  /// Runs queued or running across ALL connections right now (the `health`
-  /// verb's load signal for shard placement).
-  std::atomic<std::size_t> inflight_total_{0};
   /// Written by start() before any server thread spawns, read-only after
   /// — so uptime_seconds() may read it lock-free.
   bool started_ = false;

@@ -187,11 +187,18 @@ TEST(ShardedExecutor, WorkStealingBitIdenticalAndInRequestOrder) {
 }
 
 TEST(ShardedExecutor, ParseAndNameCoverWeightedPolicy) {
-  ShardPolicy policy = ShardPolicy::kRoundRobin;
+  ShardPolicy policy = ShardPolicy::kWorkStealing;
   EXPECT_TRUE(parse_shard_policy("weighted", policy));
   EXPECT_EQ(policy, ShardPolicy::kWeighted);
   EXPECT_EQ(shard_policy_name(ShardPolicy::kWeighted), "weighted");
-  EXPECT_FALSE(parse_shard_policy("weighed", policy));
+  EXPECT_TRUE(parse_shard_policy("work-steal", policy));
+  EXPECT_EQ(policy, ShardPolicy::kWorkStealing);
+  EXPECT_EQ(shard_policy_name(ShardPolicy::kWorkStealing), "work-steal");
+  // Weighted placement on an idle, equal fleet is round-robin, and
+  // "work-steal" has one spelling.
+  for (const char* rejected : {"weighed", "round-robin", "work-stealing"}) {
+    EXPECT_FALSE(parse_shard_policy(rejected, policy)) << rejected;
+  }
 }
 
 TEST(ShardedExecutor, WeightedPlacementBitIdenticalAndCapacityAware) {
@@ -222,30 +229,6 @@ TEST(ShardedExecutor, WeightedPlacementBitIdenticalAndCapacityAware) {
   const std::vector<ShardStats>& stats = sharded.shard_stats();
   EXPECT_EQ(stats[0].completed, 8u);
   EXPECT_EQ(stats[1].completed, 2u);
-}
-
-TEST(ShardedExecutor, WeightedWithoutProbeDegradesToRoundRobin) {
-  const std::vector<RunRequest> sweep = sweep_requests();
-  const std::vector<RunReport> reference = inline_reports(sweep);
-
-  auto a = make_server(4);
-  auto b = make_server(1);
-  ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", a->port()}, {"127.0.0.1", b->port()}};
-  config.policy = ShardPolicy::kWeighted;
-  // No probe: every shard looks identical (no load, no capacity), so the
-  // argmin ties resolve to an even round-robin split.
-  config.probe_health = false;
-  config.steal_chunk = 1;  // auto chunk sizing needs the probe too
-  ShardedExecutor sharded(config);
-  const std::vector<RunReport> merged = sharded.run_all(sweep);
-
-  ASSERT_EQ(merged.size(), reference.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    expect_equal_modulo_cache(reference[i], merged[i]);
-  }
-  EXPECT_EQ(sharded.shard_stats()[0].completed, 3u);
-  EXPECT_EQ(sharded.shard_stats()[1].completed, 3u);
 }
 
 TEST(ShardedExecutor, WeightedPlacementCountsQueuedRunsOnce) {
@@ -624,13 +607,13 @@ TEST(ShardedExecutor, AllShardsDownThrowsWithEndpoints) {
 }
 
 TEST(ShardedExecutor, PoisonChunkMatesRetrySoloAndComplete) {
-  // One daemon, wire batches of 4: the poison rides with three good
-  // requests, the server rejects the whole batch, and the good three must
-  // complete on solo retries — only the poison may end up unserved.
+  // One daemon, so the whole batch of 4 is one wire batch: the poison rides
+  // with three good requests, the server rejects the whole batch, and the
+  // good three must complete on solo retries — only the poison may end up
+  // unserved.
   auto server = make_server(4);
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", server->port()}};
-  config.steal_chunk = 4;
   config.max_attempts = 2;
 
   std::vector<RunRequest> sweep = {zdt1_request("nsga2", 1),
@@ -743,8 +726,9 @@ TEST(ShardedExecutor, StopKeepsCompletedReportsBitIdentical) {
 
   auto server = make_server(2);
   ShardedExecutorConfig config;
+  // A lone daemon takes the whole batch: both runs ride one chunk, in
+  // flight together.
   config.endpoints = {{"127.0.0.1", server->port()}};
-  config.steal_chunk = 2;  // both runs ride one chunk, in flight together
   ShardedExecutor sharded(config);
 
   RunControl control;
@@ -789,22 +773,6 @@ TEST(ShardedExecutor, RejectsEmptyOrDegenerateConfigs) {
   no_attempts.endpoints = {{"127.0.0.1", 1}};
   no_attempts.max_attempts = 0;
   EXPECT_THROW(ShardedExecutor{no_attempts}, std::invalid_argument);
-}
-
-TEST(ShardedExecutor, ExplicitChunkSizeBatchesTheWire) {
-  const std::vector<RunRequest> sweep = sweep_requests();
-  const std::vector<RunReport> reference = inline_reports(sweep);
-
-  auto server = make_server(2);
-  ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", server->port()}};
-  config.steal_chunk = 4;  // two wire batches of 4 + 2 for the 6 requests
-  ShardedExecutor sharded(config);
-  const std::vector<RunReport> merged = sharded.run_all(sweep);
-  ASSERT_EQ(merged.size(), reference.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    expect_equal_modulo_cache(reference[i], merged[i]);
-  }
 }
 
 TEST(ShardedExecutor, LoneShardSendsWholeBatchUpToItsInflightBound) {

@@ -149,8 +149,8 @@ void print_usage(std::FILE* to) {
                "                     repeatable — several endpoints shard "
                "the batch\n"
                "                     across the fleet (docs/operations.md)\n"
-               "  --shard-policy P   shard placement: work-steal (default),\n"
-               "                     round-robin, or weighted (load-aware)\n"
+               "  --shard-policy P   shard placement: work-steal (default) or\n"
+               "                     weighted (load-aware)\n"
                "  --priority CLASS   daemon-side scheduling class: "
                "interactive,\n"
                "                     normal (default), or batch (needs "
@@ -313,8 +313,8 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
       }
       if (!api::parse_shard_policy(v, cli.shard_policy)) {
         std::fprintf(stderr,
-                     "moela_cli: bad --shard-policy '%s' (want work-steal, "
-                     "round-robin, or weighted)\n",
+                     "moela_cli: bad --shard-policy '%s' (want work-steal "
+                     "or weighted)\n",
                      v);
         return std::nullopt;
       }
