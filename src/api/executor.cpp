@@ -265,11 +265,7 @@ RunReport Executor::execute(const RunRequest& request, RunControl* control,
     std::string snap_path;
     if (!report.provenance.cache_hit) {
       if (control != nullptr && control->stop_requested()) {
-        // Never started: an empty, well-formed cancelled report.
-        report.algorithm = request.algorithm;
-        report.provenance.seed = request.options.seed;
-        report.provenance.knobs = request.options.knobs.values();
-        report.provenance.cancelled = true;
+        report = cancelled_report(request);  // never started
       } else {
         AnyProblem problem =
             request.bound_problem.has_value()

@@ -93,6 +93,11 @@ struct RunRequest {
 std::vector<RunRequest> expand_replicates(const RunRequest& base,
                                           std::size_t replicates);
 
+/// The report of a run stopped before it started: empty and well formed,
+/// marked cancelled, with the request's provenance. The Executor and the
+/// ShardedExecutor both answer a never-started run with it.
+RunReport cancelled_report(const RunRequest& request);
+
 inline std::string RunRequest::cache_key() const {
   if (problem.empty()) return {};
   std::string key = "moela-run-v" + util::dec(kCacheSchemaVersion);
@@ -119,6 +124,19 @@ inline std::string RunRequest::cache_key() const {
     key += name + "=" + util::hexfloat(value);
   }
   return key;
+}
+
+inline RunReport cancelled_report(const RunRequest& request) {
+  RunReport report;
+  report.algorithm = request.algorithm;
+  report.provenance.problem = request.problem;
+  report.provenance.algorithm_key = request.algorithm;
+  report.provenance.seed = request.options.seed;
+  report.provenance.knobs = request.options.knobs.values();
+  report.provenance.cache_key = request.cache_key();
+  report.provenance.trace_id = request.trace_id;
+  report.provenance.cancelled = true;
+  return report;
 }
 
 inline std::vector<RunRequest> expand_replicates(const RunRequest& base,

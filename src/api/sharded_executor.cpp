@@ -362,20 +362,6 @@ void run_shard(const ShardedExecutorConfig& config,
   }
 }
 
-/// Mirrors the Executor's never-started cancelled report so a sharded stop
-/// and an inline stop produce the same report shape.
-RunReport cancelled_report(const RunRequest& request) {
-  RunReport report;
-  report.algorithm = request.algorithm;
-  report.provenance.problem = request.problem;
-  report.provenance.algorithm_key = request.algorithm;
-  report.provenance.seed = request.options.seed;
-  report.provenance.knobs = request.options.knobs.values();
-  report.provenance.cache_key = request.cache_key();
-  report.provenance.cancelled = true;
-  return report;
-}
-
 }  // namespace
 
 bool parse_shard_policy(const std::string& text, ShardPolicy& out) {

@@ -755,14 +755,35 @@ TEST(ShardedExecutor, StopBeforeRunYieldsCancelledReports) {
   config.endpoints = {{"127.0.0.1", server->port()}};
   ShardedExecutor sharded(config);
 
+  std::vector<RunRequest> sweep = sweep_requests();
+  for (RunRequest& request : sweep) request.trace_id = "00000000deadbeef";
   RunControl control;
   control.request_stop();
-  const std::vector<RunReport> merged =
-      sharded.run_all(sweep_requests(), &control);
+  const std::vector<RunReport> merged = sharded.run_all(sweep, &control);
+  // A never-started run reads the same whether the stop met it inline or
+  // in the coordinator.
+  Executor direct({.jobs = 2});
+  const std::vector<RunReport> stopped = direct.run_all(sweep, &control);
   ASSERT_EQ(merged.size(), 6u);
-  for (const RunReport& report : merged) {
+  ASSERT_EQ(stopped.size(), 6u);
+  for (std::size_t i = 0; i < merged.size(); ++i) {
+    const RunReport& report = merged[i];
+    const RunProvenance& inline_provenance = stopped[i].provenance;
     EXPECT_TRUE(report.provenance.cancelled);
     EXPECT_EQ(report.evaluations, 0u);
+    EXPECT_EQ(report.algorithm, stopped[i].algorithm);
+    EXPECT_EQ(report.evaluations, stopped[i].evaluations);
+    EXPECT_EQ(report.provenance.problem, inline_provenance.problem);
+    EXPECT_EQ(report.provenance.algorithm_key,
+              inline_provenance.algorithm_key);
+    EXPECT_EQ(report.provenance.seed, inline_provenance.seed);
+    EXPECT_EQ(report.provenance.knobs, inline_provenance.knobs);
+    EXPECT_EQ(report.provenance.cache_key, inline_provenance.cache_key);
+    EXPECT_EQ(report.provenance.cache_hit, inline_provenance.cache_hit);
+    EXPECT_EQ(report.provenance.priority, inline_provenance.priority);
+    EXPECT_EQ(report.provenance.trace_id, inline_provenance.trace_id);
+    EXPECT_EQ(report.provenance.trace_id, "00000000deadbeef");
+    EXPECT_EQ(report.provenance.cancelled, inline_provenance.cancelled);
   }
 }
 
