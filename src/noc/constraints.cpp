@@ -45,7 +45,9 @@ ConstraintReport validate(const PlatformSpec& spec, const NocDesign& design) {
     }
   }
 
-  // Exact link budgets per class; all links geometrically legal; unique.
+  // Exact link budgets per class; all links on the platform and
+  // geometrically legal; unique.
+  bool links_on_platform = true;
   {
     auto canonical = design.links;
     std::sort(canonical.begin(), canonical.end());
@@ -56,6 +58,15 @@ ConstraintReport validate(const PlatformSpec& spec, const NocDesign& design) {
     if (!unique_links) violation("duplicate links");
     std::size_t planar = 0, vertical = 0;
     for (const Link& l : design.links) {
+      if (l.a >= spec.num_tiles() || l.b >= spec.num_tiles()) {
+        links_on_platform = false;
+        report.links_legal = false;
+        std::ostringstream os;
+        os << "link " << l.a << "-" << l.b << " names a tile outside the "
+           << spec.num_tiles() << "-tile platform";
+        violation(os.str());
+        continue;
+      }
       if (!spec.link_is_legal(l)) {
         report.links_legal = false;
         std::ostringstream os;
@@ -80,8 +91,9 @@ ConstraintReport validate(const PlatformSpec& spec, const NocDesign& design) {
     }
   }
 
-  // Router degree and connectivity.
-  {
+  // Router degree and connectivity. The graph indexes its rows by link
+  // endpoints, so it is only built once every endpoint is on the platform.
+  if (links_on_platform) {
     RouteTree graph(spec, design);
     report.degree_respected = true;
     for (TileId t = 0; t < spec.num_tiles(); ++t) {

@@ -9,8 +9,10 @@
 //
 // Whole-line '#' comments and blank lines may appear anywhere. Every other
 // line must hold exactly what design_to_string writes: the tokens above,
-// one space apart, with ids in decimal and in range. Anything else throws,
-// so a damaged text never decodes as some other design.
+// one space apart, with ids in decimal and within their integer types.
+// Anything else throws, so a damaged text never decodes as some other
+// design. The parser does not know the platform: whether each id names one
+// of its cores and tiles is validate()'s job (noc/constraints.hpp).
 #pragma once
 
 #include <string>

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "noc/constraints.hpp"
+#include "noc/io.hpp"
 #include "noc/platform.hpp"
 
 namespace moela::noc {
@@ -112,6 +113,32 @@ TEST(Constraints, DetectsIllegalLink) {
   d.canonicalize();
   const auto report = validate(spec, d);
   EXPECT_FALSE(report.links_legal);
+}
+
+TEST(Constraints, OutOfRangeLinkIsRejectedBeforeTheGraphIsBuilt) {
+  // The text parser checks syntax, not the platform, so a parsed design may
+  // name tiles the platform lacks. validate() must reject such a link by
+  // name without indexing its per-tile graph rows with the bad id.
+  const auto spec = PlatformSpec::small_3x3x3();
+  const auto report = validate(
+      spec,
+      design_from_string("noc-design v1\nplacement 0\nlinks 1\n0 9999\n"));
+  EXPECT_FALSE(report.links_legal);
+  EXPECT_FALSE(report.degree_respected);
+  EXPECT_FALSE(report.connected);
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(std::find(report.violations.begin(), report.violations.end(),
+                      "link 0-9999 names a tile outside the 27-tile platform"),
+            report.violations.end());
+
+  // The first id past the platform, in an otherwise legal mesh.
+  NocDesign d = mesh_design(spec);
+  d.links.back().b = static_cast<TileId>(spec.num_tiles());
+  const auto off_by_one = validate(spec, d);
+  EXPECT_TRUE(off_by_one.placement_is_permutation);
+  EXPECT_FALSE(off_by_one.links_legal);
+  EXPECT_FALSE(off_by_one.degree_respected);
+  EXPECT_FALSE(off_by_one.connected);
 }
 
 TEST(Constraints, DetectsDuplicateLinks) {
