@@ -304,10 +304,14 @@ void BM_EndToEnd(benchmark::State& state, const char* problem,
 
 // UseRealTime: the optimization runs on the Executor's pool thread, so the
 // timing thread's cpu_time is meaningless — wall time is the measurement.
+// MinTime(2.0): a moela cell takes ~0.1–0.3 s a run, so the default minimum
+// time gives it only 4–5 iterations, and one slow run then moves the cell
+// past scripts/bench_compare.py's 10% gate.
 #define MOELA_END_TO_END(problem, algorithm)                       \
   BENCHMARK_CAPTURE(BM_EndToEnd, problem##_##algorithm, #problem,  \
                     #algorithm)                                    \
-      ->UseRealTime()
+      ->UseRealTime()                                              \
+      ->MinTime(2.0)
 
 MOELA_END_TO_END(zdt1, moela);
 MOELA_END_TO_END(zdt1, nsga2);
