@@ -27,18 +27,16 @@
 //   * one watcher thread parked on a self-pipe, the async-signal-safe
 //     bridge from SIGINT/SIGTERM to an orderly drain.
 //
-// Cancellation: each admitted "run" batch is one record on its connection
-// (Connection::Batch: request id, run count, RunControl, collector thread),
-// so a "cancel" verb read on the same connection can flip it mid-batch — the
-// batch still answers, its unfinished runs marked cancelled, and its
-// in-flight slots are released before the response.
+// Cancellation: each in-flight "run" batch is a record on its connection
+// (Connection::Batch), so a "cancel" verb read on the same connection can
+// flip it mid-batch — the batch still answers, its unfinished runs marked
+// cancelled, and its in-flight slots are released before the response.
 //
 // Shutdown ladder: request_shutdown()/signal_shutdown() stop the accept
 // loop, reject new "run" verbs, nudge idle readers (SHUT_RD), and let
 // in-flight batches finish and deliver their responses. signal_hard_stop()
-// additionally flips the RunControl of every unanswered batch record on
-// every connection, so in-flight runs wind down at their next budget check
-// with partial (cancelled) reports.
+// additionally flips every unanswered batch's RunControl, so in-flight runs
+// wind down at their next budget check with partial (cancelled) reports.
 //
 // Lock order: conn_mutex_, then a connection's batch_mutex, then its
 // write_mutex. No thread holds conn_mutex_ or batch_mutex across a socket
@@ -181,25 +179,24 @@ class Server {
     /// there is nothing to MOELA_GUARDED_BY — holding it around every
     /// send_line is the whole protocol.
     util::Mutex write_mutex;
-    /// One admitted "run" batch, the single record of it: the cancel verb,
-    /// the hard stop, the in-flight bound and the health verb's load all
-    /// read it. handle_run inserts it BEFORE the batch reaches the
-    /// Executor — a cancel that chases its run down the same pipe must
-    /// find it no matter how the reader and collector threads interleave —
-    /// and it is kept until its collector thread is joined.
+    /// One admitted "run" batch: the record the cancel verb, the hard
+    /// stop, the in-flight bound and the health verb's load all read.
+    /// handle_run inserts it BEFORE the batch reaches the Executor, so a
+    /// cancel that chases its run down the same pipe finds it, and it is
+    /// kept until its collector thread is joined.
     struct Batch {
-      /// The client-chosen request id. Nothing stops a client reusing one,
-      /// so cancel stops every unanswered batch carrying the target id.
+      /// Client-chosen, so not unique: cancel stops every unanswered batch
+      /// carrying the target id.
       std::uint64_t id = 0;
-      /// Runs in the batch; they count as queued or running until the
-      /// batch has answered.
+      /// Queued or running until the batch has answered.
       std::size_t runs = 0;
+      /// Dropped by the collector once the reply is out, which marks the
+      /// record for reaping.
       std::shared_ptr<api::RunControl> control;
       /// Awaits the batch's futures and sends its reply.
       std::thread collector;
-      /// Set by the collector once every report is in, before the reply
-      /// goes out: the batch is no longer load, and neither a cancel nor
-      /// the hard stop touches it again.
+      /// Every report is in (set before the reply goes out): the batch is
+      /// no longer load, and neither a cancel nor the hard stop touches it.
       bool answered = false;
     };
     util::Mutex batch_mutex;
