@@ -419,9 +419,9 @@ std::vector<RunReport> ShardedExecutor::run_all(
   // behind its TCP connect timeout.
   std::vector<std::size_t> healthy;
   /// What each probe reported; zero when the probe failed or the daemon
-  /// predates the field. `load` (runs executing + runs queued, each counted once)
-  /// is the kWeighted placement's second input; `max_inflight` is the
-  /// daemon's per-connection bound.
+  /// predates the field. `load` (runs executing + runs queued, each
+  /// counted once) is the kWeighted placement's second input;
+  /// `max_inflight` is the daemon's per-connection bound.
   struct Probed {
     std::size_t jobs = 0;
     std::size_t load = 0;
@@ -528,10 +528,10 @@ std::vector<RunReport> ShardedExecutor::run_all(
       // batch (capped at its probed in-flight bound, which is per
       // connection, so both lanes may carry a capped piece at once):
       // splitting it would only add rounds, each waiting on its slowest
-      // run. With peers, each chunk is the daemon's probed worker count, so
-      // a chunk saturates the daemon's Executor pool, the other lane's
-      // chunk waits in its queue, and the rest of the batch stays
-      // stealable.
+      // run. With peers, each chunk is the daemon's probed worker count (1
+      // when unreported), so a chunk saturates the daemon's Executor pool,
+      // the other lane's chunk waits in its queue, and the rest of the
+      // batch stays stealable.
       std::size_t chunk_size = std::max<std::size_t>(1, probed[s].jobs);
       if (healthy.size() == 1) {
         const std::size_t cap = probed[s].max_inflight;

@@ -1078,8 +1078,9 @@ TEST(Serve, HardStopDuringDrainCancelsInFlightBatch) {
   endless.options.max_evaluations = 50000000;
   Client runner;
   runner.connect("127.0.0.1", fixture.server->port());
-  auto reply = std::async(std::launch::async,
-                          [&runner, &endless] { return runner.run({endless}); });
+  auto reply = std::async(std::launch::async, [&runner, &endless] {
+    return runner.run({endless});
+  });
   wait_for_health(fixture.client, [](const Json& health) {
     return util::u64_field_or(health, "running", 0) == 1;
   });
@@ -1103,8 +1104,9 @@ TEST(Serve, HardStopDuringDrainCancelsInFlightBatch) {
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   fixture.server->signal_hard_stop();
 
-  // A regression hangs here; fail instead of stalling the suite (the stuck
-  // threads would also block the futures' destructors, so exit).
+  // A stop that misses the batch leaves the run going to its own end, or
+  // the drain hung: bound both waits, and exit on a timeout, since the
+  // stuck threads would also block the futures' destructors.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(60);
   if (reply.wait_until(deadline) != std::future_status::ready ||
