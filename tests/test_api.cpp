@@ -10,9 +10,12 @@
 #include <vector>
 
 #include "api/any_problem.hpp"
+#include "api/executor.hpp"
 #include "api/optimizer.hpp"
 #include "api/problems.hpp"
 #include "api/registry.hpp"
+#include "api/result_cache.hpp"
+#include "api/serde.hpp"
 #include "problems/dtlz.hpp"
 #include "problems/zdt.hpp"
 #include "util/rng.hpp"
@@ -229,6 +232,80 @@ TEST(Registry, AblationSwitchKnobsMatchTheirVariants) {
   const RunReport pinned =
       registry().create("moela-ls-only", zdt1())->run(force_on);
   EXPECT_EQ(pinned.final_objectives, via_variant.final_objectives);
+}
+
+// --- Report byte pins ------------------------------------------------------
+
+/// The report's bytes with the wall-clock and transport fields cleared, as
+/// perfbench's `content_bytes` takes them: what a run computes, nothing
+/// about when or how it was served.
+std::string content_bytes(RunReport report) {
+  report.seconds = 0.0;
+  for (auto& snapshot : report.snapshots) snapshot.seconds = 0.0;
+  report.provenance.cache_hit = false;
+  report.provenance.cache_key.clear();
+  report.provenance.trace_id.clear();
+  report.provenance.priority = "normal";
+  return report_to_json(report).dump();
+}
+
+// FNV-1a digests of the cheap fleet cells' reports (perfbench's fleet-sweep
+// runs: 1000 evaluations, population 24, snapshot every 100), three seeds a
+// cell. Generated by the straightforward Pareto bookkeeping; an archive,
+// sort or survival speedup must leave every one unchanged.
+TEST(ReportDigestPins, CheapFleetCells) {
+  struct Pin {
+    const char* problem;
+    const char* algorithm;
+    std::uint64_t seed;
+    const char* digest;
+  };
+  const Pin pins[] = {
+      {"zdt1", "nsga2", 1, "f9a42a6585817b72"},
+      {"zdt1", "nsga2", 2, "3079e47014b9084a"},
+      {"zdt1", "nsga2", 3, "66b7fd0f608136ac"},
+      {"zdt1", "moead", 1, "33cceecee843f8ab"},
+      {"zdt1", "moead", 2, "cfdce84c8ab90447"},
+      {"zdt1", "moead", 3, "19e808a95392bc75"},
+      {"zdt1", "moela", 1, "e638c0401db4cbae"},
+      {"zdt1", "moela", 2, "31cf6cb33f6cce0c"},
+      {"zdt1", "moela", 3, "539de37f55f098a1"},
+      {"zdt1", "moos", 1, "9d245ae0fcc92d4f"},
+      {"zdt1", "moos", 2, "b51a9f9e8922d762"},
+      {"zdt1", "moos", 3, "1d1e8d099da1f2bb"},
+      {"dtlz2", "nsga2", 1, "ff5b1812d4619b91"},
+      {"dtlz2", "nsga2", 2, "b1c5d4043cc2788b"},
+      {"dtlz2", "nsga2", 3, "5727a3741ab3b247"},
+      {"dtlz2", "moead", 1, "6fd6c81f84476000"},
+      {"dtlz2", "moead", 2, "2d5439da1b414b4a"},
+      {"dtlz2", "moead", 3, "ff97cb0f5d8992d8"},
+      {"dtlz2", "moela", 1, "44e0ff0e6372c353"},
+      {"dtlz2", "moela", 2, "cafecbf8bb4c16dd"},
+      {"dtlz2", "moela", 3, "5a50ddb625b250a2"},
+      {"dtlz2", "moos", 1, "5ca1f18de4043ad7"},
+      {"dtlz2", "moos", 2, "60357534c11082fd"},
+      {"dtlz2", "moos", 3, "5b1fe7a4ddd93cda"},
+  };
+  std::vector<RunRequest> requests;
+  for (const Pin& pin : pins) {
+    RunRequest r;
+    r.problem = pin.problem;
+    r.algorithm = pin.algorithm;
+    r.options.max_evaluations = 1000;
+    r.options.population_size = 24;
+    r.options.snapshot_interval = 100;
+    r.options.seed = pin.seed;
+    requests.push_back(std::move(r));
+  }
+  Executor executor({.jobs = 1});
+  const std::vector<RunReport> reports = executor.run_all(requests);
+  ASSERT_EQ(reports.size(), std::size(pins));
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    EXPECT_EQ(ResultCache::hash_key(content_bytes(reports[i])),
+              pins[i].digest)
+        << pins[i].problem << "/" << pins[i].algorithm << " seed "
+        << pins[i].seed;
+  }
 }
 
 }  // namespace

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cstdint>
+#include <limits>
+#include <string>
+
 #include "moo/pareto.hpp"
 #include "util/rng.hpp"
 
@@ -86,6 +91,92 @@ TEST(ParetoArchive, ClearEmpties) {
   a.insert({1.0}, 0);
   a.clear();
   EXPECT_TRUE(a.empty());
+}
+
+/// The archive's members as text, in objective_set() order.
+std::string members_text(const ParetoArchive& a) {
+  std::string out;
+  for (const ObjectiveVector& p : a.objective_set()) {
+    out += '(';
+    for (std::size_t i = 0; i < p.size(); ++i) {
+      char buffer[32];
+      const auto end = std::to_chars(buffer, buffer + sizeof(buffer), p[i]).ptr;
+      if (i > 0) out += ' ';
+      out.append(buffer, end);
+    }
+    out += ')';
+  }
+  return out;
+}
+
+std::uint64_t fnv1a(std::uint64_t h, const std::string& bytes) {
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Folds a seeded stream into `a`, shaped like a search converging on the
+/// plane where the components sum to 7 (2 objectives) or 14 (3): grid
+/// points in steps of 0.25, so duplicates and weak-dominance ties occur,
+/// that drift inward as the stream goes on, every 37th with a NaN
+/// component. Returns the accepted count and an FNV-1a digest of the
+/// member list after every insert, so a change in any intermediate set or
+/// its order shows.
+std::pair<std::size_t, std::uint64_t> fold_stream(ParetoArchive& a,
+                                                  std::uint64_t seed,
+                                                  std::size_t m) {
+  util::Rng rng(seed);
+  std::size_t accepted = 0;
+  std::uint64_t digest = 1469598103934665603ull;
+  for (std::size_t i = 0; i < 400; ++i) {
+    ObjectiveVector p(m);
+    std::uint64_t rest = 7 * (m - 1) + rng.below(3) + (399 - i) / 40;
+    for (std::size_t k = 0; k + 1 < m; ++k) {
+      const std::uint64_t x = rng.below(8);
+      p[k] = 0.25 * static_cast<double>(x);
+      rest -= x;
+    }
+    p[m - 1] = 0.25 * static_cast<double>(rest);
+    if (i % 37 == 36) {
+      p[rng.below(m)] = std::numeric_limits<double>::quiet_NaN();
+    }
+    if (a.insert(p, i)) ++accepted;
+    digest = fnv1a(digest, members_text(a) + ';');
+  }
+  return {accepted, digest};
+}
+
+// A point with a NaN component can dominate one member and still be
+// rejected by a later one (dominance is not transitive across NaN): the
+// rejected point must leave the archive untouched.
+TEST(ParetoArchivePins, RejectedNanPointErasesNothing) {
+  ParetoArchive a;
+  a.insert({0.25, 1.75}, 0);
+  a.insert({1.75, 0.25}, 1);
+  const ObjectiveVector p{std::numeric_limits<double>::quiet_NaN(), 1.0};
+  ASSERT_EQ(compare(p, ObjectiveVector{0.25, 1.75}), Dominance::kDominates);
+  ASSERT_EQ(compare(ObjectiveVector{1.75, 0.25}, p), Dominance::kDominates);
+  EXPECT_FALSE(a.insert(p, 2));
+  EXPECT_EQ(members_text(a), "(0.25 1.75)(1.75 0.25)");
+}
+
+// The member list, in order, after seeded streams in 2 and 3 objectives.
+// Generated by the straightforward two-pass insert.
+TEST(ParetoArchivePins, ObjectiveSetAfterSeededStreams) {
+  ParetoArchive a2;
+  const auto [accepted2, digest2] = fold_stream(a2, 21, 2);
+  EXPECT_EQ(accepted2, 76u);
+  EXPECT_EQ(digest2, 13411849071201567849ull);
+  EXPECT_EQ(members_text(a2),
+            "(0.75 1)(1 0.75)(1.75 0)(0.5 1.25)(1.5 0.25)(0 1.75)");
+
+  ParetoArchive a3;
+  const auto [accepted3, digest3] = fold_stream(a3, 22, 3);
+  EXPECT_EQ(accepted3, 197u);
+  EXPECT_EQ(a3.size(), 28u);
+  EXPECT_EQ(digest3, 3914391777551814626ull);
 }
 
 }  // namespace

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
+#include <cmath>
 #include <limits>
+#include <string>
 
 #include "moo/objective.hpp"
 #include "util/rng.hpp"
@@ -95,6 +98,52 @@ TEST(NonDominatedSort, NoMemberDominatedWithinItsFront) {
       }
     }
   }
+}
+
+/// A seeded 48-point set on a coarse grid (eight levels a component), so
+/// ties in one objective and exact duplicates occur, plus two forced
+/// duplicates and one NaN component.
+std::vector<ObjectiveVector> grid_points(std::uint64_t seed, std::size_t m) {
+  util::Rng rng(seed);
+  std::vector<ObjectiveVector> points;
+  for (int i = 0; i < 48; ++i) {
+    ObjectiveVector p(m);
+    for (double& x : p) x = 0.25 * static_cast<double>(rng.below(8));
+    points.push_back(std::move(p));
+  }
+  points[45] = points[2];
+  points[46] = points[20];
+  points[30][0] = std::numeric_limits<double>::quiet_NaN();
+  return points;
+}
+
+/// Fronts as text: indices in front order, fronts separated by '|'.
+std::string fronts_text(const std::vector<std::vector<std::size_t>>& fronts) {
+  std::string out;
+  for (const auto& front : fronts) {
+    if (!out.empty()) out += '|';
+    for (std::size_t k = 0; k < front.size(); ++k) {
+      if (k > 0) out += ' ';
+      out += std::to_string(front[k]);
+    }
+  }
+  return out;
+}
+
+// The exact fronts, and the order within each, that NSGA-II's survival and
+// tournament read. Generated by the straightforward pair-list sort; a
+// faster sort must reproduce every index in place.
+TEST(NonDominatedSortPins, ExactFrontsInTwoAndThreeObjectives) {
+  const auto points2 = grid_points(11, 2);
+  ASSERT_TRUE(std::isnan(points2[30][0]));
+  EXPECT_EQ(fronts_text(non_dominated_sort(points2)),
+            "8 29|0 17 38 41 43|44 2 5 13 45|4 6 21|16|24|12 30|1|10 32 37|"
+            "9 40 31 36|19 23 39 26 27|7 42 22 35 47|11 18 25|3 28 34|"
+            "14 15 20 46|33");
+  EXPECT_EQ(fronts_text(non_dominated_sort(grid_points(12, 3))),
+            "6 32 35|16 17 33 15 37|14 19 20 27 42 46 4 26 36 18|"
+            "7 41 21 23 5 40 11|12 3 34 1|9 22 47 30|29 8 24 39 44|"
+            "10 2 45 0 28 43|38 31|13|25");
 }
 
 TEST(CrowdingDistance, BoundaryPointsInfinite) {
