@@ -220,10 +220,9 @@ class Nsga2Optimizer final : public Optimizer {
         options.knobs.get_or("nsga2.max_generations", c.max_generations);
 
     baselines::Nsga2<AnyProblem> algo(c);
-    for (const auto& ind : algo.run(ctx)) {
-      report.final_designs.push_back(ind.design);
-      report.final_objectives.push_back(ind.objectives);
-    }
+    auto pop = algo.run(ctx);
+    report.final_designs = std::move(pop.designs);
+    report.final_objectives = std::move(pop.objectives);
   }
 };
 

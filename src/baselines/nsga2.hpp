@@ -6,7 +6,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <limits>
+#include <utility>
 #include <vector>
 
 #include "core/eval_context.hpp"
@@ -25,49 +25,56 @@ class Nsga2 {
  public:
   using Design = typename P::Design;
 
-  struct Individual {
-    Design design;
-    moo::ObjectiveVector objectives;
+  /// A population as parallel arrays: member i is (designs[i],
+  /// objectives[i]).
+  struct Population {
+    std::vector<Design> designs;
+    std::vector<moo::ObjectiveVector> objectives;
+    std::size_t size() const { return designs.size(); }
   };
 
   explicit Nsga2(Nsga2Config config = {}) : config_(config) {}
 
-  std::vector<Individual> run(core::EvalContext<P>& ctx) {
-    std::vector<Individual> pop;
-    ctx.set_solution_set_provider([&pop] {
-      std::vector<moo::ObjectiveVector> out;
-      out.reserve(pop.size());
-      for (const auto& ind : pop) out.push_back(ind.objectives);
-      return out;
+  Population run(core::EvalContext<P>& ctx) {
+    const std::size_t n = config_.population_size;
+    // Members [0, live) are the current population. A generation appends
+    // its children after them; survival moves the kept members into
+    // `next`, which then swaps in.
+    Population pop, next;
+    for (Population* p : {&pop, &next}) {
+      p->designs.reserve(2 * n);
+      p->objectives.reserve(2 * n);
+    }
+    std::size_t live = 0;
+    ctx.set_solution_set_provider([&pop, &live] {
+      return std::vector<moo::ObjectiveVector>(
+          pop.objectives.begin(), pop.objectives.begin() + live);
     });
-    pop.reserve(config_.population_size);
-    for (std::size_t i = 0;
-         i < config_.population_size && !ctx.exhausted(); ++i) {
+    for (; live < n && !ctx.exhausted(); ++live) {
       Design d = ctx.problem().random_design(ctx.rng());
-      moo::ObjectiveVector obj = ctx.evaluate(d);
-      pop.push_back({std::move(d), std::move(obj)});
+      pop.objectives.push_back(ctx.evaluate(d));
+      pop.designs.push_back(std::move(d));
     }
 
     for (std::size_t gen = 0;
          gen < config_.max_generations && !ctx.exhausted(); ++gen) {
       // Rank + crowding of the current population for tournament selection.
-      auto [rank, crowd] = rank_and_crowding(pop);
+      auto [rank, crowd] = rank_and_crowding(pop.objectives);
 
-      std::vector<Individual> offspring;
-      offspring.reserve(pop.size());
-      while (offspring.size() < pop.size() && !ctx.exhausted()) {
+      while (pop.size() < 2 * live && !ctx.exhausted()) {
         const std::size_t p1 = tournament(ctx, rank, crowd);
         const std::size_t p2 = tournament(ctx, rank, crowd);
-        Design child = ctx.problem().crossover(pop[p1].design, pop[p2].design,
-                                               ctx.rng());
+        Design child = ctx.problem().crossover(pop.designs[p1],
+                                               pop.designs[p2], ctx.rng());
         child = ctx.problem().mutate(child, ctx.rng());
-        moo::ObjectiveVector obj = ctx.evaluate(child);
-        offspring.push_back({std::move(child), std::move(obj)});
+        pop.objectives.push_back(ctx.evaluate(child));
+        pop.designs.push_back(std::move(child));
       }
 
       // Elitist (mu + lambda) survival by front then crowding.
-      for (auto& ind : offspring) pop.push_back(std::move(ind));
-      pop = survive(std::move(pop), config_.population_size);
+      survive(pop, next, n);
+      std::swap(pop, next);
+      live = pop.size();
     }
     ctx.set_solution_set_provider(nullptr);
     return pop;
@@ -77,13 +84,10 @@ class Nsga2 {
 
  private:
   static std::pair<std::vector<std::size_t>, std::vector<double>>
-  rank_and_crowding(const std::vector<Individual>& pop) {
-    std::vector<moo::ObjectiveVector> points;
-    points.reserve(pop.size());
-    for (const auto& ind : pop) points.push_back(ind.objectives);
+  rank_and_crowding(const std::vector<moo::ObjectiveVector>& points) {
     const auto fronts = moo::non_dominated_sort(points);
-    std::vector<std::size_t> rank(pop.size(), 0);
-    std::vector<double> crowd(pop.size(), 0.0);
+    std::vector<std::size_t> rank(points.size(), 0);
+    std::vector<double> crowd(points.size(), 0.0);
     for (std::size_t f = 0; f < fronts.size(); ++f) {
       const auto dist = moo::crowding_distance(points, fronts[f]);
       for (std::size_t k = 0; k < fronts[f].size(); ++k) {
@@ -103,21 +107,22 @@ class Nsga2 {
     return crowd[a] >= crowd[b] ? a : b;
   }
 
-  static std::vector<Individual> survive(std::vector<Individual> merged,
-                                         std::size_t target) {
-    std::vector<moo::ObjectiveVector> points;
-    points.reserve(merged.size());
-    for (const auto& ind : merged) points.push_back(ind.objectives);
-    const auto fronts = moo::non_dominated_sort(points);
-
-    std::vector<Individual> next;
-    next.reserve(target);
+  /// Moves the best `target` members of `merged` into the empty `next`,
+  /// front by front, then empties `merged`.
+  static void survive(Population& merged, Population& next,
+                      std::size_t target) {
+    const auto fronts = moo::non_dominated_sort(merged.objectives);
+    const auto keep = [&](std::size_t i) {
+      next.designs.push_back(std::move(merged.designs[i]));
+      next.objectives.push_back(std::move(merged.objectives[i]));
+    };
     for (const auto& front : fronts) {
       if (next.size() + front.size() <= target) {
-        for (std::size_t i : front) next.push_back(std::move(merged[i]));
+        for (std::size_t i : front) keep(i);
       } else {
-        // Partial front: keep the most crowded-distant members.
-        const auto dist = moo::crowding_distance(points, front);
+        // Partial front: keep the most crowded-distant members. Only this
+        // front's members are read, and none of them has moved yet.
+        const auto dist = moo::crowding_distance(merged.objectives, front);
         std::vector<std::size_t> order(front.size());
         for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
         std::sort(order.begin(), order.end(),
@@ -126,12 +131,13 @@ class Nsga2 {
                   });
         for (std::size_t k = 0; k < order.size() && next.size() < target;
              ++k) {
-          next.push_back(std::move(merged[front[order[k]]]));
+          keep(front[order[k]]);
         }
       }
       if (next.size() >= target) break;
     }
-    return next;
+    merged.designs.clear();
+    merged.objectives.clear();
   }
 
   Nsga2Config config_;

@@ -72,7 +72,7 @@ class EvalContext {
       record_evaluation(obj);
     }
     ++evaluations_;
-    archive_.insert(obj, evaluations_);
+    archive_.insert(obj);
     if (snapshot_interval_ > 0 &&
         evaluations_ >= next_snapshot_) {
       take_snapshot();
@@ -149,7 +149,7 @@ class EvalContext {
   [[gnu::noinline]] [[gnu::cold]] moo::ObjectiveVector evaluate_replayed() {
     moo::ObjectiveVector obj = journal_[evaluations_];
     ++evaluations_;
-    archive_.insert(obj, evaluations_);
+    archive_.insert(obj);
     if (snapshot_interval_ > 0 && evaluations_ >= next_snapshot_) {
       take_snapshot();
       next_snapshot_ = evaluations_ + snapshot_interval_;

@@ -1,55 +1,50 @@
 #include "moo/archive.hpp"
 
 #include <algorithm>
-#include <limits>
-
-#include "moo/pareto.hpp"
+#include <stdexcept>
+#include <string>
 
 namespace moela::moo {
 
-bool ParetoArchive::insert(ObjectiveVector objectives, std::size_t id) {
-  for (const auto& e : entries_) {
-    const Dominance d = compare(e.objectives, objectives);
-    if (d == Dominance::kDominates || d == Dominance::kEqual) return false;
+bool ParetoArchive::insert(const ObjectiveVector& objectives) {
+  if (m_ == 0) m_ = objectives.size();
+  if (m_ == 0 || objectives.size() != m_) {
+    throw std::invalid_argument(
+        "ParetoArchive::insert: " + std::to_string(objectives.size()) +
+        " objectives, the archive holds " + std::to_string(m_));
   }
-  std::erase_if(entries_, [&](const Entry& e) {
-    return compare(objectives, e.objectives) == Dominance::kDominates;
-  });
-  entries_.push_back(Entry{std::move(objectives), id});
-  if (capacity_ > 0 && entries_.size() > capacity_) evict_most_crowded();
-  return true;
-}
-
-bool ParetoArchive::would_accept(const ObjectiveVector& obj) const {
-  for (const auto& e : entries_) {
-    const Dominance d = compare(e.objectives, obj);
+  const std::size_t n = size();
+  dominated_.clear();
+  for (std::size_t k = 0; k < n; ++k) {
+    const Dominance d = compare(member(k), objectives);
     if (d == Dominance::kDominates || d == Dominance::kEqual) return false;
+    if (d == Dominance::kDominatedBy) dominated_.push_back(k);
   }
+  // Compact only after the full pass. With NaN components dominance is not
+  // transitive: a member after one the point dominates can still reject
+  // it, and a rejected point must leave the archive as it was.
+  if (!dominated_.empty()) {
+    // Move each run of kept members between two dominated ones down.
+    dominated_.push_back(n);
+    double* v = values_.data();
+    double* out = v + dominated_.front() * m_;
+    for (std::size_t d = 1; d < dominated_.size(); ++d) {
+      out = std::copy(v + (dominated_[d - 1] + 1) * m_, v + dominated_[d] * m_,
+                      out);
+    }
+    values_.resize(static_cast<std::size_t>(out - v));
+  }
+  values_.insert(values_.end(), objectives.begin(), objectives.end());
   return true;
 }
 
 std::vector<ObjectiveVector> ParetoArchive::objective_set() const {
   std::vector<ObjectiveVector> out;
-  out.reserve(entries_.size());
-  for (const auto& e : entries_) out.push_back(e.objectives);
-  return out;
-}
-
-void ParetoArchive::evict_most_crowded() {
-  // Evict the entry with the smallest crowding distance (most redundant).
-  const auto points = objective_set();
-  std::vector<std::size_t> front(points.size());
-  for (std::size_t i = 0; i < front.size(); ++i) front[i] = i;
-  const auto dist = crowding_distance(points, front);
-  std::size_t victim = 0;
-  double best = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < dist.size(); ++i) {
-    if (dist[i] < best) {
-      best = dist[i];
-      victim = i;
-    }
+  out.reserve(size());
+  for (auto it = values_.begin(); it != values_.end(); it += m_) {
+    out.emplace_back(it, it + m_);
   }
-  entries_.erase(entries_.begin() + static_cast<std::ptrdiff_t>(victim));
+  return out;
 }
 
 }  // namespace moela::moo

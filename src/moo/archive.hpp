@@ -1,52 +1,43 @@
-// Pareto archive of objective vectors with user payload ids.
+// Pareto archive of objective vectors.
 //
 // Algorithms use the archive to track every non-dominated point seen over a
-// run. The harness computes anytime-PHV from archive snapshots; MOOS and
-// MOO-STAGE run their local searches over the archive itself.
+// run. The harness computes anytime-PHV from archive snapshots and reports
+// the final archive as the run's front.
 #pragma once
 
 #include <cstddef>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "moo/objective.hpp"
 
 namespace moela::moo {
 
-/// A non-dominated set with an optional capacity bound. Each entry carries an
-/// opaque `id` so callers can map archive members back to designs.
+/// An unbounded non-dominated set, kept in insertion order. The members
+/// live row-major in one flat buffer, so an insert allocates only when the
+/// buffer grows.
 class ParetoArchive {
  public:
-  struct Entry {
-    ObjectiveVector objectives;
-    std::size_t id = 0;
-  };
+  /// Inserts `objectives` unless a member dominates or equals it; returns
+  /// true iff it entered. Members it dominates are removed; the others keep
+  /// their order. The first insert fixes the number of objectives: an empty
+  /// vector, or one of any other size later, throws std::invalid_argument.
+  bool insert(const ObjectiveVector& objectives);
 
-  /// `capacity` == 0 means unbounded. When bounded and full, the entry with
-  /// the smallest crowding distance is evicted to preserve spread.
-  explicit ParetoArchive(std::size_t capacity = 0) : capacity_(capacity) {}
+  std::size_t size() const { return m_ == 0 ? 0 : values_.size() / m_; }
+  bool empty() const { return values_.empty(); }
 
-  /// Attempts to insert. Returns true iff the point enters the archive
-  /// (i.e. it is not dominated by, nor equal to, an existing entry).
-  /// Dominated incumbents are removed.
-  bool insert(ObjectiveVector objectives, std::size_t id);
-
-  /// True if `obj` would be accepted (non-dominated vs. current content).
-  bool would_accept(const ObjectiveVector& obj) const;
-
-  const std::vector<Entry>& entries() const { return entries_; }
-  std::size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  void clear() { entries_.clear(); }
-
-  /// All objective vectors (for metrics computation).
+  /// All members' objective vectors, in insertion order.
   std::vector<ObjectiveVector> objective_set() const;
 
  private:
-  void evict_most_crowded();
+  std::span<const double> member(std::size_t k) const {
+    return {values_.data() + k * m_, m_};
+  }
 
-  std::size_t capacity_;
-  std::vector<Entry> entries_;
+  std::size_t m_ = 0;           // objectives per member; 0 until the first
+  std::vector<double> values_;  // members, m_ values each
+  std::vector<std::size_t> dominated_;  // insert's scratch: members it beats
 };
 
 }  // namespace moela::moo

@@ -24,20 +24,19 @@ enum class Dominance {
 };
 
 /// Computes the Pareto-dominance relation between `a` and `b` (minimization).
+/// Sets both flags over every component, with no early exit, and then
+/// classifies once. A comparison with NaN is false both ways.
 inline Dominance compare(std::span<const double> a, std::span<const double> b) {
   bool a_better = false;
   bool b_better = false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i] < b[i]) {
-      a_better = true;
-    } else if (b[i] < a[i]) {
-      b_better = true;
-    }
-    if (a_better && b_better) return Dominance::kNonDominated;
+    a_better |= a[i] < b[i];
+    b_better |= b[i] < a[i];
   }
-  if (a_better) return Dominance::kDominates;
-  if (b_better) return Dominance::kDominatedBy;
-  return Dominance::kEqual;
+  if (a_better == b_better) {
+    return a_better ? Dominance::kNonDominated : Dominance::kEqual;
+  }
+  return a_better ? Dominance::kDominates : Dominance::kDominatedBy;
 }
 
 /// True iff `a` Pareto-dominates `b` (minimization, strict).

@@ -1,6 +1,8 @@
 #include "moo/pareto.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <limits>
 #include <stdexcept>
 
@@ -26,35 +28,45 @@ std::vector<std::size_t> pareto_filter(
 std::vector<std::vector<std::size_t>> non_dominated_sort(
     const std::vector<ObjectiveVector>& points) {
   const std::size_t n = points.size();
-  std::vector<std::vector<std::size_t>> dominated(n);  // i dominates these
-  std::vector<int> dom_count(n, 0);                    // # dominating i
+  // Row i has bit j set iff i dominates j: ceil(n/64) words a row.
+  const std::size_t words = (n + 63) / 64;
+  std::vector<std::uint64_t> dominated(n * words, 0);
+  std::vector<std::size_t> dom_count(n, 0);  // # dominating i
 
   for (std::size_t i = 0; i < n; ++i) {
     for (std::size_t j = i + 1; j < n; ++j) {
       const Dominance d = compare(points[i], points[j]);
       if (d == Dominance::kDominates) {
-        dominated[i].push_back(j);
+        dominated[i * words + j / 64] |= std::uint64_t{1} << (j % 64);
         ++dom_count[j];
       } else if (d == Dominance::kDominatedBy) {
-        dominated[j].push_back(i);
+        dominated[j * words + i / 64] |= std::uint64_t{1} << (i % 64);
         ++dom_count[i];
       }
     }
   }
 
+  // Peel the fronts, walking each row's set bits in ascending order: the
+  // order in which the pair loop above would fill per-point lists, so the
+  // fronts and the order within each are the textbook sort's.
   std::vector<std::vector<std::size_t>> fronts;
   std::vector<std::size_t> current;
   for (std::size_t i = 0; i < n; ++i) {
     if (dom_count[i] == 0) current.push_back(i);
   }
   while (!current.empty()) {
-    fronts.push_back(current);
     std::vector<std::size_t> next;
     for (std::size_t i : current) {
-      for (std::size_t j : dominated[i]) {
-        if (--dom_count[j] == 0) next.push_back(j);
+      const std::uint64_t* row = dominated.data() + i * words;
+      for (std::size_t w = 0; w < words; ++w) {
+        for (std::uint64_t bits = row[w]; bits != 0; bits &= bits - 1) {
+          const std::size_t j =
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+          if (--dom_count[j] == 0) next.push_back(j);
+        }
       }
     }
+    fronts.push_back(std::move(current));
     current = std::move(next);
   }
   return fronts;

@@ -16,7 +16,8 @@ std::vector<std::size_t> pareto_filter(
 
 /// Fast non-dominated sort. Returns fronts of indices; fronts[0] is the
 /// Pareto-optimal set, fronts[1] the set that becomes non-dominated once
-/// fronts[0] is removed, and so on. O(M N^2).
+/// fronts[0] is removed, and so on. O(M N^2). The order within each front
+/// is pinned: NSGA-II's survival and tournament read it.
 std::vector<std::vector<std::size_t>> non_dominated_sort(
     const std::vector<ObjectiveVector>& points);
 

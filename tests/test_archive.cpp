@@ -5,7 +5,9 @@
 #include <charconv>
 #include <cstdint>
 #include <limits>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "moo/pareto.hpp"
 #include "util/rng.hpp"
@@ -15,66 +17,48 @@ namespace {
 
 TEST(ParetoArchive, AcceptsFirstPoint) {
   ParetoArchive a;
-  EXPECT_TRUE(a.insert({1.0, 2.0}, 0));
+  EXPECT_TRUE(a.insert({1.0, 2.0}));
   EXPECT_EQ(a.size(), 1u);
 }
 
 TEST(ParetoArchive, RejectsDominatedAndEqual) {
   ParetoArchive a;
-  a.insert({1.0, 1.0}, 0);
-  EXPECT_FALSE(a.insert({2.0, 2.0}, 1));  // dominated
-  EXPECT_FALSE(a.insert({1.0, 1.0}, 2));  // duplicate
+  a.insert({1.0, 1.0});
+  EXPECT_FALSE(a.insert({2.0, 2.0}));  // dominated
+  EXPECT_FALSE(a.insert({1.0, 1.0}));  // duplicate
   EXPECT_EQ(a.size(), 1u);
 }
 
 TEST(ParetoArchive, RemovesNewlyDominated) {
   ParetoArchive a;
-  a.insert({2.0, 2.0}, 0);
-  a.insert({3.0, 1.0}, 1);
-  EXPECT_TRUE(a.insert({1.0, 1.0}, 2));  // dominates both
-  EXPECT_EQ(a.size(), 1u);
-  EXPECT_EQ(a.entries()[0].id, 2u);
+  a.insert({2.0, 2.0});
+  a.insert({3.0, 1.0});
+  EXPECT_TRUE(a.insert({1.0, 1.0}));  // dominates both
+  EXPECT_EQ(a.objective_set(), (std::vector<ObjectiveVector>{{1.0, 1.0}}));
 }
 
 TEST(ParetoArchive, KeepsIncomparablePoints) {
   ParetoArchive a;
-  EXPECT_TRUE(a.insert({1.0, 3.0}, 0));
-  EXPECT_TRUE(a.insert({3.0, 1.0}, 1));
-  EXPECT_TRUE(a.insert({2.0, 2.0}, 2));
+  EXPECT_TRUE(a.insert({1.0, 3.0}));
+  EXPECT_TRUE(a.insert({3.0, 1.0}));
+  EXPECT_TRUE(a.insert({2.0, 2.0}));
   EXPECT_EQ(a.size(), 3u);
 }
 
-TEST(ParetoArchive, WouldAcceptMirrorsInsert) {
+TEST(ParetoArchive, MismatchedSizeInsertThrows) {
   ParetoArchive a;
-  a.insert({1.0, 1.0}, 0);
-  EXPECT_FALSE(a.would_accept({1.5, 1.5}));
-  EXPECT_TRUE(a.would_accept({0.5, 2.0}));
-  EXPECT_EQ(a.size(), 1u);  // would_accept must not mutate
-}
-
-TEST(ParetoArchive, CapacityEvictsMostCrowded) {
-  ParetoArchive a(3);
-  a.insert({0.0, 10.0}, 0);
-  a.insert({10.0, 0.0}, 1);
-  a.insert({5.0, 5.0}, 2);
-  // 4th point lands close to (5,5): one of the crowded middles is evicted,
-  // boundary points survive.
-  a.insert({4.9, 5.2}, 3);
-  EXPECT_EQ(a.size(), 3u);
-  bool has0 = false, has1 = false;
-  for (const auto& e : a.entries()) {
-    if (e.id == 0) has0 = true;
-    if (e.id == 1) has1 = true;
-  }
-  EXPECT_TRUE(has0);
-  EXPECT_TRUE(has1);
+  EXPECT_THROW(a.insert({}), std::invalid_argument);
+  a.insert({1.0, 2.0});
+  EXPECT_THROW(a.insert({0.5}), std::invalid_argument);
+  EXPECT_THROW(a.insert({0.5, 0.5, 0.5}), std::invalid_argument);
+  EXPECT_EQ(a.objective_set(), (std::vector<ObjectiveVector>{{1.0, 2.0}}));
 }
 
 TEST(ParetoArchive, ContentAlwaysMutuallyNonDominated) {
   util::Rng rng(3);
-  ParetoArchive a(20);
+  ParetoArchive a;
   for (int i = 0; i < 500; ++i) {
-    a.insert({rng.uniform(), rng.uniform(), rng.uniform()}, i);
+    a.insert({rng.uniform(), rng.uniform(), rng.uniform()});
   }
   const auto points = a.objective_set();
   for (std::size_t i = 0; i < points.size(); ++i) {
@@ -83,14 +67,6 @@ TEST(ParetoArchive, ContentAlwaysMutuallyNonDominated) {
       EXPECT_FALSE(dominates(points[i], points[j]));
     }
   }
-  EXPECT_LE(a.size(), 20u);
-}
-
-TEST(ParetoArchive, ClearEmpties) {
-  ParetoArchive a;
-  a.insert({1.0}, 0);
-  a.clear();
-  EXPECT_TRUE(a.empty());
 }
 
 /// The archive's members as text, in objective_set() order.
@@ -142,7 +118,7 @@ std::pair<std::size_t, std::uint64_t> fold_stream(ParetoArchive& a,
     if (i % 37 == 36) {
       p[rng.below(m)] = std::numeric_limits<double>::quiet_NaN();
     }
-    if (a.insert(p, i)) ++accepted;
+    if (a.insert(p)) ++accepted;
     digest = fnv1a(digest, members_text(a) + ';');
   }
   return {accepted, digest};
@@ -153,12 +129,12 @@ std::pair<std::size_t, std::uint64_t> fold_stream(ParetoArchive& a,
 // rejected point must leave the archive untouched.
 TEST(ParetoArchivePins, RejectedNanPointErasesNothing) {
   ParetoArchive a;
-  a.insert({0.25, 1.75}, 0);
-  a.insert({1.75, 0.25}, 1);
+  a.insert({0.25, 1.75});
+  a.insert({1.75, 0.25});
   const ObjectiveVector p{std::numeric_limits<double>::quiet_NaN(), 1.0};
   ASSERT_EQ(compare(p, ObjectiveVector{0.25, 1.75}), Dominance::kDominates);
   ASSERT_EQ(compare(ObjectiveVector{1.75, 0.25}, p), Dominance::kDominates);
-  EXPECT_FALSE(a.insert(p, 2));
+  EXPECT_FALSE(a.insert(p));
   EXPECT_EQ(members_text(a), "(0.25 1.75)(1.75 0.25)");
 }
 
