@@ -60,6 +60,23 @@ api::RunRequest zdt1_request(const std::string& algorithm,
   return request;
 }
 
+/// The "effectively endless" run the cancel, shed and hard-stop tests
+/// occupy a worker with: zdt1_request's moela run with a 50M-evaluation
+/// budget. The budget never ends it. MoelaConfig::max_generations (1000)
+/// does, after 36,432 evaluations at seed 1 and 36,413 at seed 2, about
+/// 10 s each in a Release build on an idle 4-vCPU machine (GCC 12), most
+/// of it forest training. Each test stops it far inside that: at its
+/// first progress event, with a cancel sent right behind it, by its own
+/// max_seconds of 0.2, or by a stop or hard stop issued once the daemon
+/// reports it running. A stop that missed would let the run finish
+/// uncancelled, which the tests' `cancelled` checks catch; their
+/// `evaluations < 50000000` checks hold either way.
+api::RunRequest endless_request(std::uint64_t seed) {
+  api::RunRequest request = zdt1_request("moela", seed);
+  request.options.max_evaluations = 50000000;
+  return request;
+}
+
 /// A Server on 127.0.0.1:<ephemeral>, plus a connected Client.
 struct ServerFixture {
   explicit ServerFixture(ServeConfig config = {}) {
@@ -385,13 +402,12 @@ TEST(Serve, CancelMidRunReturnsCancelledReportsAndFreesSlots) {
   // Two effectively-endless runs with a tight snapshot cadence: the first
   // streamed progress event flips the control, the client interleaves the
   // cancel verb, and the daemon must stop BOTH in-flight runs at their
-  // next budget check — long before their nominal budget. (moela, not
-  // nsga2: the latter's internal generation cap would end the run
-  // naturally and race the cancel on a slow machine.)
-  std::vector<api::RunRequest> requests = {zdt1_request("moela", 1),
-                                           zdt1_request("moela", 2)};
+  // next budget check — long before their natural end. (moela, not nsga2:
+  // both end at a 1000-generation cap, but nsga2 gets there after 12,012
+  // evaluations, soon enough to race the cancel on a slow machine.)
+  std::vector<api::RunRequest> requests = {endless_request(1),
+                                           endless_request(2)};
   for (auto& request : requests) {
-    request.options.max_evaluations = 50000000;
     request.options.snapshot_interval = 200;
   }
   api::RunControl control;
@@ -435,12 +451,12 @@ TEST(Serve, CancelChasingItsRunDownThePipeStillLands) {
   // the batch's control in handle_run — on the reader thread, before the
   // dispatcher can even be scheduled — so the chasing cancel MUST find
   // it; were registration left to the dispatcher, this cancel would be
-  // lost and the batch would burn its full 50M-eval budget.
+  // lost and the run would go on to its natural end (endless_request),
+  // uncancelled.
   ServerFixture fixture;
   fault::RawConnection raw(fixture.server->port());
 
-  api::RunRequest request = zdt1_request("moela", 1);
-  request.options.max_evaluations = 50000000;
+  api::RunRequest request = endless_request(1);
   Json requests_json = Json::array();
   requests_json.append(api::request_to_json(request));
   Json run = Json::object();
@@ -759,8 +775,7 @@ TEST(Serve, InteractiveOvertakesSaturatingBatchSweep) {
 
   std::vector<api::RunRequest> sweep;
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    api::RunRequest request = zdt1_request("moela", seed);
-    request.options.max_evaluations = 50000000;
+    api::RunRequest request = endless_request(seed);
     request.options.max_seconds = 0.2;  // wall-clock bounded, machine-proof
     request.options.snapshot_interval = 200;
     sweep.push_back(std::move(request));
@@ -811,8 +826,7 @@ TEST(Serve, QueueFullShedsWithStructuredOverloadAndNoSlotLeak) {
   config.max_queued = 2;
   ServerFixture fixture(config);
 
-  api::RunRequest endless = zdt1_request("moela", 1);
-  endless.options.max_evaluations = 50000000;
+  api::RunRequest endless = endless_request(1);
   endless.options.snapshot_interval = 200;
 
   // One endless run OCCUPIES the worker (running, not queued — capacity
@@ -1074,8 +1088,7 @@ TEST(Serve, HardStopDuringDrainCancelsInFlightBatch) {
   ServeConfig config;
   config.jobs = 1;
   ServerFixture fixture(config);
-  api::RunRequest endless = zdt1_request("moela", 1);
-  endless.options.max_evaluations = 50000000;
+  api::RunRequest endless = endless_request(1);
   Client runner;
   runner.connect("127.0.0.1", fixture.server->port());
   auto reply = std::async(std::launch::async, [&runner, &endless] {

@@ -47,6 +47,22 @@ RunRequest zdt1_request(const std::string& algorithm, std::uint64_t seed) {
   return request;
 }
 
+/// The "effectively endless" run the occupancy and cancel tests use:
+/// zdt1_request's moela run with a 50M-evaluation budget. The budget never
+/// ends it. MoelaConfig::max_generations (1000) does, after 36,413 to
+/// 37,748 evaluations at seeds 1-4, about 10 s each in a Release build on
+/// an idle 4-vCPU machine (GCC 12), most of it forest training. Each test
+/// stops it far inside that: at its first progress event, when a short
+/// nsga2 run in the same chunk finishes, or once the other daemon has
+/// served a three-run share of short nsga2 runs. Their `evaluations <
+/// 50000000` checks hold either way; the `cancelled` checks are what show
+/// the stop landed.
+RunRequest endless_request(std::uint64_t seed) {
+  RunRequest request = zdt1_request("moela", seed);
+  request.options.max_evaluations = 50000000;
+  return request;
+}
+
 std::vector<RunRequest> sweep_requests() {
   std::vector<RunRequest> requests;
   for (const char* algorithm : {"moela", "nsga2"}) {
@@ -248,8 +264,7 @@ TEST(ShardedExecutor, WeightedPlacementCountsQueuedRunsOnce) {
     }
   };
 
-  RunRequest endless = zdt1_request("moela", 1);
-  endless.options.max_evaluations = 50000000;
+  RunRequest endless = endless_request(1);
   RunControl occupier_control;
   std::thread occupier([&] {
     serve::Client client;
@@ -671,12 +686,12 @@ TEST(ShardedExecutor, StopCancelsInFlightRemoteChunks) {
   config.policy = ShardPolicy::kWorkStealing;
   config.stream_progress = true;
 
-  // moela, not nsga2: nsga2's internal generation cap would end the runs
-  // naturally and race the cancel on a slow machine.
+  // moela, not nsga2: both end at a 1000-generation cap, but nsga2 gets
+  // there after 12,012 evaluations, soon enough to race the cancel on a
+  // slow machine.
   std::vector<RunRequest> sweep;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    RunRequest request = zdt1_request("moela", seed);
-    request.options.max_evaluations = 50000000;
+    RunRequest request = endless_request(seed);
     request.options.snapshot_interval = 500;
     sweep.push_back(std::move(request));
   }
@@ -719,8 +734,7 @@ TEST(ShardedExecutor, StopKeepsCompletedReportsBitIdentical) {
   // must come back cancelled, while the already-completed run's report
   // stays bit-identical to an inline execution.
   const RunRequest short_request = zdt1_request("nsga2", 1);
-  RunRequest long_request = zdt1_request("moela", 2);
-  long_request.options.max_evaluations = 50000000;
+  RunRequest long_request = endless_request(2);
   long_request.options.snapshot_interval = 500;
   const RunReport reference = inline_reports({short_request}).front();
 
