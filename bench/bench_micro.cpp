@@ -16,7 +16,9 @@
 #include "api/executor.hpp"
 #include "api/request.hpp"
 #include "ml/random_forest.hpp"
+#include "moo/archive.hpp"
 #include "moo/hypervolume.hpp"
+#include "moo/pareto.hpp"
 #include "moo/scalarize.hpp"
 #include "moo/weights.hpp"
 #include "noc/generator.hpp"
@@ -82,6 +84,59 @@ void BM_WeightedDistance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WeightedDistance)->DenseRange(2, 6);
+
+// NSGA-II's per-generation sort of its merged population: 2N points for
+// the fleet cells' N = 24 (48), with half and twice that around it.
+void BM_NonDominatedSort(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto m = static_cast<std::size_t>(state.range(1));
+  util::Rng rng(13);
+  std::vector<moo::ObjectiveVector> points(n, moo::ObjectiveVector(m));
+  for (auto& p : points) {
+    for (auto& v : p) v = rng.uniform();
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(moo::non_dominated_sort(points));
+  }
+}
+BENCHMARK(BM_NonDominatedSort)->ArgsProduct({{24, 48, 96}, {2, 3}});
+
+// The all-time archive fold every evaluation pays: one fresh archive takes
+// a 1000-point stream that converges as a run does. m = 2 is zdt1-shaped
+// (f2 = g(1 - sqrt(f1/g)), g shrinking towards 1); m = 5 scatters points
+// over shells of the unit simplex that shrink the same way.
+void BM_ParetoArchiveInsert(benchmark::State& state) {
+  const auto m = static_cast<std::size_t>(state.range(0));
+  constexpr std::size_t kStream = 1000;
+  util::Rng rng(17);
+  std::vector<moo::ObjectiveVector> stream;
+  stream.reserve(kStream);
+  for (std::size_t i = 0; i < kStream; ++i) {
+    const double left = 1.0 - static_cast<double>(i) / kStream;
+    const double g = 1.0 + 4.0 * left * rng.uniform();
+    moo::ObjectiveVector p(m);
+    if (m == 2) {
+      p[0] = rng.uniform();
+      p[1] = g * (1.0 - std::sqrt(p[0] / g));
+    } else {
+      double s = 0.0;
+      for (auto& v : p) {
+        v = -std::log(1.0 - rng.uniform());
+        s += v;
+      }
+      for (auto& v : p) v = g * v / s;
+    }
+    stream.push_back(std::move(p));
+  }
+  for (auto _ : state) {
+    moo::ParetoArchive archive;
+    for (const auto& p : stream) archive.insert(p);
+    benchmark::DoNotOptimize(archive.size());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                    kStream));
+}
+BENCHMARK(BM_ParetoArchiveInsert)->Arg(2)->Arg(5);
 
 struct NocFixture {
   noc::PlatformSpec spec = noc::PlatformSpec::paper_4x4x4();

@@ -17,10 +17,12 @@ that adds a benchmark.
 The committed baselines live at the repo root (BENCH_*.json), produced by
     F='BM_EndToEnd|BM_RouteTreeBuild|BM_FullObjectiveEvaluation'
     F="$F|BM_RandomNeighbor|BM_Crossover|BM_FeatureExtraction"
+    F="$F|BM_NonDominatedSort|BM_ParetoArchiveInsert"
     bench_micro --benchmark_filter="$F" \
                 --benchmark_format=json --benchmark_out=BENCH_new.json
-Before BENCH_21.json they held BM_EndToEnd only, so the layer cells show
-as ADDED against an older baseline.
+Before BENCH_21.json they held BM_EndToEnd only, and before BENCH_25.json
+they lacked the two Pareto bookkeeping cells, so those cells show as ADDED
+against an older baseline.
 
 The BM_EndToEnd cells run with MinTime(2.0) (bench/bench_micro.cpp). At
 google-benchmark's default minimum time a moela cell got only 4-5
