@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <charconv>
 #include <cmath>
 #include <limits>
 #include <string>
