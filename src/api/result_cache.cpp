@@ -8,7 +8,10 @@
 #include <concepts>
 #include <limits>
 #include <string_view>
+#include <utility>
 #include <vector>
+
+#include <sys/stat.h>
 
 #include "noc/design.hpp"
 #include "noc/io.hpp"
@@ -426,7 +429,7 @@ void ResultCache::enforce_disk_cap(const std::string& keep) {
   std::error_code ec;
   struct Entry {
     fs::path path;
-    fs::file_time_type used;
+    std::pair<std::int64_t, std::int64_t> used;  // mtime: seconds, ns
     std::uintmax_t size;
   };
   std::vector<Entry> entries;
@@ -435,8 +438,14 @@ void ResultCache::enforce_disk_cap(const std::string& keep) {
        it.increment(ec)) {
     const fs::path& path = it->path();
     if (path.extension() != ".moela") continue;  // not temp files
-    Entry entry{path, it->last_write_time(ec), it->file_size(ec)};
-    if (ec) return;  // racing another process; try again next store
+    // One stat for both fields: directory_entry's last_write_time() and
+    // file_size() each stat the file again.
+    struct stat info {};
+    if (::stat(path.c_str(), &info) != 0) {
+      return;  // racing another process; try again next store
+    }
+    Entry entry{path, {info.st_mtim.tv_sec, info.st_mtim.tv_nsec},
+                static_cast<std::uintmax_t>(info.st_size)};
     total += entry.size;
     entries.push_back(std::move(entry));
   }

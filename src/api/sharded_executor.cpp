@@ -29,16 +29,13 @@ using util::Json;
 /// only drain the stealable pool faster.
 constexpr std::size_t kLanesPerShard = 2;
 
-/// The work pool shared by the lanes. `owned[s]` holds shard s's static
-/// weighted slice; `pending` holds the work-stealing pool and every
-/// requeued index. An index is always in exactly one place: some owned
-/// queue, pending, in flight at a lane, or retired (done/failed).
+/// The work pool shared by the lanes. `pending` holds every request that
+/// waits for a lane, requeued ones included. An index is always in exactly
+/// one place: pending, in flight at a lane, or retired (done/failed).
 struct SharedState {
   util::Mutex mutex;
   util::CondVar work_cv;
   std::deque<std::size_t> pending MOELA_GUARDED_BY(mutex);
-  std::vector<std::deque<std::size_t>> owned MOELA_GUARDED_BY(mutex);
-  std::size_t owned_total MOELA_GUARDED_BY(mutex) = 0;
   /// Per shard: a lane lost the daemon, so every lane of that shard stops
   /// at its next chunk boundary.
   std::vector<char> retired MOELA_GUARDED_BY(mutex);
@@ -70,46 +67,11 @@ struct SharedState {
   std::atomic<bool> stopped{false};
 };
 
-/// Moves indices from `queue` into `chunk` until it holds `chunk_size`,
-/// honoring the solo discipline (a `solo` request always rides alone — see
-/// SharedState::solo). A named function rather than a lambda inside the
-/// locked scope because the analyzer treats lambdas as separate, lock-free
-/// functions; here the held capability is stated explicitly.
-void pull_from(SharedState& shared, std::deque<std::size_t>& queue,
-               bool owned, std::vector<std::size_t>& chunk,
-               std::size_t chunk_size) MOELA_REQUIRES(shared.mutex) {
-  while (!queue.empty() && chunk.size() < chunk_size) {
-    const std::size_t next = queue.front();
-    if (shared.solo[next] && !chunk.empty()) break;
-    queue.pop_front();
-    if (owned) --shared.owned_total;
-    chunk.push_back(next);
-    if (shared.solo[next]) break;
-  }
-}
-
-/// Retires `shard` for the rest of the batch: every lane of it stops at its
-/// next chunk boundary, and the rest of its static slice goes to the
-/// shared pool (never attempted, so no attempt count advances). Returns the
-/// number of requests handed back; the slice goes back once, so a second
-/// lane retiring the same shard hands back nothing.
-std::size_t retire_shard(SharedState& shared, std::size_t shard)
-    MOELA_REQUIRES(shared.mutex) {
-  shared.retired[shard] = 1;
-  std::deque<std::size_t>& own = shared.owned[shard];
-  const std::size_t handed_back = own.size();
-  shared.owned_total -= handed_back;
-  for (const std::size_t i : own) shared.pending.push_back(i);
-  own.clear();
-  return handed_back;
-}
-
 /// One lane of a shard: owns one connection, opened when the lane first has
-/// a chunk, pulls chunks (its shard's static slice first, then the shared
-/// pool), submits them, and merges replies into `reports` by original
-/// index. On a transport failure the lane requeues its chunk and retires
-/// the shard; on a server error answer it requeues and keeps serving (the
-/// connection survived).
+/// a chunk, pulls chunks from the shared pool, submits them, and merges
+/// replies into `reports` by original index. On a transport failure the
+/// lane requeues its chunk and retires the shard; on a server error answer
+/// it requeues and keeps serving (the connection survived).
 void run_shard(const ShardedExecutorConfig& config,
                const ShardEndpoint& endpoint, ShardStats& stats,
                std::size_t shard, std::size_t chunk_size,
@@ -153,19 +115,20 @@ void run_shard(const ShardedExecutorConfig& config,
           return;
         }
         if (shared.retired[shard]) return;  // the other lane lost the daemon
-        pull_from(shared, shared.owned[shard], /*owned=*/true, chunk,
-                  chunk_size);
-        if (chunk.empty() || (chunk.size() < chunk_size &&
-                              !shared.solo[chunk.front()])) {
-          pull_from(shared, shared.pending, /*owned=*/false, chunk,
-                    chunk_size);
+        // Fill the chunk from the pool; a `solo` request always rides
+        // alone (see SharedState::solo).
+        while (!shared.pending.empty() && chunk.size() < chunk_size) {
+          const std::size_t next = shared.pending.front();
+          if (shared.solo[next] && !chunk.empty()) break;
+          shared.pending.pop_front();
+          chunk.push_back(next);
+          if (shared.solo[next]) break;
         }
         if (!chunk.empty()) {
           shared.inflight += chunk.size();
           break;
         }
-        if (shared.owned_total == 0 && shared.pending.empty() &&
-            shared.inflight == 0) {
+        if (shared.pending.empty() && shared.inflight == 0) {
           return;  // batch drained (or every leftover exhausted its cap)
         }
         // Idle but the batch is not drained: a peer may still fail and
@@ -179,17 +142,15 @@ void run_shard(const ShardedExecutorConfig& config,
         client.connect(endpoint.host, endpoint.port);
       } catch (const std::exception& e) {
         // Never reached a daemon, so this is not an attempt on any
-        // request: hand the chunk and the static slice to the surviving
-        // shards and retire.
+        // request: hand the chunk to the surviving shards and retire.
         util::MutexLock lock(shared.mutex);
         stats.healthy = false;
         stats.failures += 1;
         stats.error = e.what();
         for (const std::size_t i : chunk) shared.pending.push_back(i);
         shared.inflight -= chunk.size();
-        const std::size_t handed_back =
-            chunk.size() + retire_shard(shared, shard);
-        if (requeued != nullptr) requeued->add(handed_back);
+        shared.retired[shard] = 1;
+        if (requeued != nullptr) requeued->add(chunk.size());
         shared.work_cv.notify_all();
         return;
       }
@@ -336,10 +297,9 @@ void run_shard(const ShardedExecutorConfig& config,
           ++handed_back;
         } else if (transport && !shared.started[i]) {
           // The connection died before the daemon emitted a single event
-          // for this request: it never started executing, so — like the
-          // requeued static slice below — no attempt is charged. (A
-          // RemoteError always charges: the server answered, so the
-          // request genuinely ran and failed.)
+          // for this request: it never started executing, so no attempt
+          // is charged. (A RemoteError always charges: the server
+          // answered, so the request genuinely ran and failed.)
           shared.pending.push_back(i);
           ++handed_back;
         } else if (++shared.attempts[i] < config.max_attempts) {
@@ -351,9 +311,9 @@ void run_shard(const ShardedExecutorConfig& config,
         }
         // Otherwise its attempts are exhausted: it is never requeued again.
       }
-      // Retiring mid-run: the rest of this shard's static slice must go to
-      // the survivors too, or they would wait on it forever.
-      if (transport) handed_back += retire_shard(shared, shard);
+      // The daemon is gone: the shard's other lane stops at its next chunk
+      // boundary.
+      if (transport) shared.retired[shard] = 1;
       if (requeued != nullptr && handed_back > 0) requeued->add(handed_back);
       shared.inflight -= chunk.size();
       shared.work_cv.notify_all();
@@ -363,22 +323,6 @@ void run_shard(const ShardedExecutorConfig& config,
 }
 
 }  // namespace
-
-bool parse_shard_policy(const std::string& text, ShardPolicy& out) {
-  if (text == "work-steal") {
-    out = ShardPolicy::kWorkStealing;
-    return true;
-  }
-  if (text == "weighted") {
-    out = ShardPolicy::kWeighted;
-    return true;
-  }
-  return false;
-}
-
-std::string shard_policy_name(ShardPolicy policy) {
-  return policy == ShardPolicy::kWeighted ? "weighted" : "work-steal";
-}
 
 std::string ShardEndpoint::to_string() const {
   return host + ":" +
@@ -412,19 +356,17 @@ std::vector<RunReport> ShardedExecutor::run_all(
   }
   if (n == 0) return reports;
 
-  // Placement gate: probe each endpoint's `health` verb and leave dead or
-  // draining daemons out of the initial partition. (A daemon predating the
-  // verb still places if it answers a ping.) Probes run concurrently so
-  // one blackholed endpoint cannot serialize the whole fleet's startup
-  // behind its TCP connect timeout.
+  // Placement gate: probe each endpoint's `health` verb and give dead or
+  // draining daemons no lanes. (A daemon predating the verb still places
+  // if it answers a ping.) Probes run concurrently so one blackholed
+  // endpoint cannot serialize the whole fleet's startup behind its TCP
+  // connect timeout.
   std::vector<std::size_t> healthy;
   /// What each probe reported; zero when the probe failed or the daemon
-  /// predates the field. `load` (runs executing + runs queued, each
-  /// counted once) is the kWeighted placement's second input;
-  /// `max_inflight` is the daemon's per-connection bound.
+  /// predates the field. `max_inflight` is the daemon's per-connection
+  /// bound.
   struct Probed {
     std::size_t jobs = 0;
-    std::size_t load = 0;
     std::size_t max_inflight = 0;
   };
   std::vector<Probed> probed(config_.endpoints.size());
@@ -444,8 +386,6 @@ std::vector<RunReport> ShardedExecutor::run_all(
             accepting = a->as_bool();
           }
           probed[s].jobs = util::u64_field_or(health, "jobs", 0);
-          probed[s].load = util::u64_field_or(health, "running", 0) +
-                           util::u64_field_or(health, "queued", 0);
           probed[s].max_inflight =
               util::u64_field_or(health, "max_inflight", 0);
         } catch (const serve::RemoteError&) {
@@ -473,7 +413,7 @@ std::vector<RunReport> ShardedExecutor::run_all(
     // No lane exists yet, but the capability discipline is uniform:
     // SharedState is touched under its mutex, always.
     util::MutexLock lock(shared.mutex);
-    shared.owned.resize(config_.endpoints.size());
+    for (std::size_t i = 0; i < n; ++i) shared.pending.push_back(i);
     shared.retired.assign(config_.endpoints.size(), 0);
     shared.attempts.assign(n, 0);
     shared.request_error.assign(n, std::string());
@@ -485,42 +425,6 @@ std::vector<RunReport> ShardedExecutor::run_all(
   }
 
   if (!healthy.empty()) {
-    {
-      // Placement happens under the mutex; released before the lanes
-      // spawn (they block on it immediately).
-      util::MutexLock lock(shared.mutex);
-      if (config_.policy == ShardPolicy::kWeighted) {
-        // Load-aware static placement: each request (in order, so the
-        // partition is deterministic given the probe) goes to the shard
-        // with the lowest projected utilization
-        //     (reported load + assigned so far) / worker capacity,
-        // compared exactly by cross-multiplication, ties to the earliest
-        // shard — a 4-worker idle daemon owns 4x what a 1-worker one does,
-        // a daemon already loaded by OTHER clients starts with that
-        // handicap, and idle daemons with equal worker counts split the
-        // batch round-robin.
-        std::vector<std::uint64_t> assigned(config_.endpoints.size(), 0);
-        for (std::size_t i = 0; i < n; ++i) {
-          std::size_t best = healthy.front();
-          for (const std::size_t s : healthy) {
-            const std::uint64_t cap_s =
-                std::max<std::uint64_t>(1, probed[s].jobs);
-            const std::uint64_t cap_best =
-                std::max<std::uint64_t>(1, probed[best].jobs);
-            if ((probed[s].load + assigned[s]) * cap_best <
-                (probed[best].load + assigned[best]) * cap_s) {
-              best = s;
-            }
-          }
-          shared.owned[best].push_back(i);
-          ++assigned[best];
-        }
-        shared.owned_total = n;
-      } else {
-        for (std::size_t i = 0; i < n; ++i) shared.pending.push_back(i);
-      }
-    }
-
     std::vector<std::thread> lanes;
     lanes.reserve(healthy.size() * kLanesPerShard);
     for (const std::size_t s : healthy) {

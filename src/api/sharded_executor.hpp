@@ -13,7 +13,7 @@
 //     daemon-served report is bit-identical to inline execution for fixed
 //     seeds (the serde layer carries hexfloat doubles end to end), a
 //     sharded sweep is bit-identical to an inline run regardless of the
-//     shard count, policy, or which shard served which request.
+//     shard count or which shard served which request.
 //   * Fault tolerance — a shard that cannot be reached or fails mid-batch
 //     is retired for the rest of the run and its outstanding requests are
 //     requeued onto the surviving shards; each request is attempted at
@@ -38,25 +38,16 @@
 //
 // Each shard is driven by two lanes, each a thread owning one serve::Client
 // (the Client is single-connection, not thread-safe) that connects when
-// the lane first has a chunk. While one lane's chunk executes, the other
-// lane's chunk already waits in the daemon's queue, so the daemon never
-// idles through a round trip; a one-chunk batch still uses one connection.
-// Both lanes pull from the same shard slice and retire together when either
-// loses the daemon. Every endpoint's `health` verb is probed before
-// placement; dead or draining daemons get no share. Placement policies:
-//   * kWorkStealing — lanes pull one chunk at a time from one shared queue
-//                     as their previous replies arrive, so a fast (or
-//                     cache-warm) daemon naturally serves more of the
-//                     batch.
-//   * kWeighted     — static, decided up front: request i goes to the
-//                     shard with the lowest projected utilization (probed
-//                     running + queued load, plus what this placement
-//                     already assigned, over the daemon's worker count),
-//                     ties to the earliest shard. So a big or idle daemon
-//                     owns more of the batch and a busy one is not
-//                     pile-driven; on idle daemons with equal worker counts
-//                     it is round-robin. Shards only pick up requeued work
-//                     from failed peers.
+// the lane first has a chunk. Placement is work stealing: every lane pulls
+// its next chunk from one shared queue only once its previous reply has
+// arrived, so a fast (or cache-warm) daemon serves more of the batch, and a
+// daemon already busy with other clients' work holds at most one chunk per
+// lane while the rest of the batch goes to its peers. While one lane's
+// chunk executes, the other lane's chunk already waits in the daemon's
+// queue, so the daemon never idles through a round trip; a one-chunk batch
+// still uses one connection. Both lanes of a shard retire together when
+// either loses the daemon. Every endpoint's `health` verb is probed first;
+// dead or draining daemons get no lanes.
 // A chunk (one wire batch) is sized from the probe: a lone shard takes the
 // whole batch, capped at its daemon's max_inflight (uncapped when the probe
 // reported none; the bound is per connection, so the two lanes may each
@@ -76,12 +67,6 @@
 
 namespace moela::api {
 
-enum class ShardPolicy { kWorkStealing, kWeighted };
-
-/// "work-steal" / "weighted".
-bool parse_shard_policy(const std::string& text, ShardPolicy& out);
-std::string shard_policy_name(ShardPolicy policy);
-
 /// One moela_serve daemon address.
 struct ShardEndpoint {
   std::string host = "127.0.0.1";
@@ -98,7 +83,6 @@ bool parse_shard_endpoint(const std::string& spec, ShardEndpoint& out);
 struct ShardedExecutorConfig {
   /// The daemon fleet. At least one endpoint is required.
   std::vector<ShardEndpoint> endpoints;
-  ShardPolicy policy = ShardPolicy::kWorkStealing;
   /// Per-request cap on executions attempted across shards before the
   /// request is declared failed (>= 1). Only a request that fails ALONE is
   /// charged: a failed multi-request chunk is requeued with its members

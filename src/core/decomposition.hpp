@@ -61,13 +61,8 @@ class DecompositionPopulation {
   /// on the paper's platform span several orders of magnitude, so all
   /// scalarizations are applied to range-normalized deviations.
   moo::ObjectiveVector objective_scale() const {
-    const auto& z = z_.value();
-    moo::ObjectiveVector scale(z.size(), 1.0);
-    for (std::size_t k = 0; k < scale.size(); ++k) {
-      double nadir = z[k];
-      for (const auto& obj : objectives_) nadir = std::max(nadir, obj[k]);
-      scale[k] = std::max(nadir - z[k], 1e-12);
-    }
+    moo::ObjectiveVector scale;
+    fill_scale(scale);
     return scale;
   }
 
@@ -82,14 +77,14 @@ class DecompositionPopulation {
                      const std::vector<std::size_t>& pool,
                      std::size_t max_replacements = 2) {
     z_.update(candidate_obj);
-    const moo::ObjectiveVector scale = objective_scale();
+    fill_scale(scale_);
     std::size_t replaced = 0;
     for (std::size_t idx : pool) {
       if (replaced >= max_replacements) break;
       const double incumbent = moo::tchebycheff_scaled(
-          objectives_[idx], weights_[idx], z_.value(), scale);
+          objectives_[idx], weights_[idx], z_.value(), scale_);
       const double challenger = moo::tchebycheff_scaled(
-          candidate_obj, weights_[idx], z_.value(), scale);
+          candidate_obj, weights_[idx], z_.value(), scale_);
       if (challenger < incumbent) {
         designs_[idx] = candidate;
         objectives_[idx] = candidate_obj;
@@ -113,11 +108,24 @@ class DecompositionPopulation {
   }
 
  private:
+  /// objective_scale() into `scale`, reusing its capacity.
+  void fill_scale(moo::ObjectiveVector& scale) const {
+    const auto& z = z_.value();
+    scale.assign(z.size(), 1.0);
+    for (std::size_t k = 0; k < scale.size(); ++k) {
+      double nadir = z[k];
+      for (const auto& obj : objectives_) nadir = std::max(nadir, obj[k]);
+      scale[k] = std::max(nadir - z[k], 1e-12);
+    }
+  }
+
   std::vector<moo::WeightVector> weights_;
   std::vector<std::vector<std::size_t>> neighborhoods_;
   moo::ReferencePoint z_;
   std::vector<Design> designs_;
   std::vector<moo::ObjectiveVector> objectives_;
+  /// update()'s scale, refilled per candidate without an allocation.
+  moo::ObjectiveVector scale_;
 };
 
 /// One generation of the decomposition EA (Sec. IV.C), shared by MOELA's EA

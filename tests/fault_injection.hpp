@@ -64,9 +64,9 @@ inline int closed_port() {
 }
 
 /// A fake daemon that passes the coordinator's health probe and then fails.
-/// It answers every verb but `run` with a bare ok (no load or capacity
-/// fields, so the probe places it like an idle one-worker daemon), and then
-/// does what its mode says:
+/// It answers every verb but `run` with a bare ok (no capacity fields, so
+/// the coordinator sends it one-request chunks), and then does what its
+/// mode says:
 ///   * kRefuseAfterProbe — shuts its listener before its first reply, so
 ///     every later connect is refused: a daemon that dies right after the
 ///     probe;

@@ -874,7 +874,11 @@ TEST(Serve, QueueFullShedsWithStructuredOverloadAndNoSlotLeak) {
   EXPECT_EQ(
       shed_health.find("classes")->find("normal")->find("shed")->as_u64(),
       1u);
+  // One worker, one run executing and two queued: `inflight` counts every
+  // admitted run once, the queued ones included.
   EXPECT_EQ(shed_health.find("queued")->as_u64(), 2u);  // untouched backlog
+  EXPECT_EQ(shed_health.find("running")->as_u64(), 1u);
+  EXPECT_EQ(shed_health.find("inflight")->as_u64(), 3u);
 
   // Shedding leaked nothing: drain the saturating work, then the same
   // request is admitted and completes.

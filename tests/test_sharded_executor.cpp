@@ -1,11 +1,12 @@
 // Tests for api::ShardedExecutor (src/api/sharded_executor.*): real
 // in-process moela_serve daemons on ephemeral ports, driven through the
-// coordinator. The acceptance property is the ISSUE/ROADMAP one — a
-// fixed-seed sweep sharded across >= 2 daemons merges bit-identical to the
-// same sweep run inline, in request order, under both placement policies —
-// plus the fault paths (tests/fault_injection.hpp): a daemon SIGKILLed
-// mid-run whose partial work resumes on the survivor from its streamed
-// snapshot, a dead shard's slice retried onto the survivor, exhausted
+// coordinator. The acceptance property: a fixed-seed sweep work-stolen
+// across >= 2 daemons merges bit-identical to the same sweep run inline,
+// in request order. Plus the fault paths (tests/fault_injection.hpp): a
+// daemon SIGKILLed mid-run whose partial work resumes on the survivor from
+// its streamed snapshot (the survivor's one worker is held by another
+// client's endless run until the kill, so every event before it comes from
+// the victim), a dead shard's chunk retried onto the survivor, exhausted
 // attempt caps failing the batch with attributable errors, and
 // cancellation.
 #include <gtest/gtest.h>
@@ -53,10 +54,9 @@ RunRequest zdt1_request(const std::string& algorithm, std::uint64_t seed) {
 /// 37,748 evaluations at seeds 1-4, about 10 s each in a Release build on
 /// an idle 4-vCPU machine (GCC 12), most of it forest training. Each test
 /// stops it far inside that: at its first progress event, when a short
-/// nsga2 run in the same chunk finishes, or once the other daemon has
-/// served a three-run share of short nsga2 runs. Their `evaluations <
-/// 50000000` checks hold either way; the `cancelled` checks are what show
-/// the stop landed.
+/// nsga2 run in the same chunk finishes, or when a kill test has killed its
+/// victim daemon. Their `evaluations < 50000000` checks hold either way;
+/// the `cancelled` checks are what show the stop landed.
 RunRequest endless_request(std::uint64_t seed) {
   RunRequest request = zdt1_request("moela", seed);
   request.options.max_evaluations = 50000000;
@@ -134,9 +134,56 @@ std::uint64_t run_verbs(serve::Server& server) {
   return 0;
 }
 
+/// Holds a one-worker daemon's worker with another client's endless run,
+/// so runs the coordinator sends there wait in its queue and emit no event
+/// until stop().
+class Occupier {
+ public:
+  explicit Occupier(serve::Server& server)
+      : thread_([this, port = server.port()] {
+          try {
+            serve::Client client;
+            client.connect("127.0.0.1", port);
+            client.run({endless_request(1)}, false, nullptr, &control_);
+          } catch (const std::exception& e) {
+            ADD_FAILURE() << "occupier: " << e.what();
+          }
+        }) {
+    serve::Client observer;
+    observer.connect("127.0.0.1", server.port());
+    while (util::u64_field_or(observer.health(), "running", 0) != 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ~Occupier() {
+    stop();
+    thread_.join();
+  }
+  Occupier(const Occupier&) = delete;
+  Occupier& operator=(const Occupier&) = delete;
+
+  void stop() { control_.request_stop(); }
+
+ private:
+  RunControl control_;
+  std::thread thread_;
+};
+
+/// Six zdt1 moela runs long enough to stream several snapshots each.
+std::vector<RunRequest> checkpointed_sweep() {
+  std::vector<RunRequest> sweep;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    RunRequest request = zdt1_request("moela", seed);
+    request.options.max_evaluations = 2400;
+    request.options.snapshot_interval = 200;
+    sweep.push_back(std::move(request));
+  }
+  return sweep;
+}
+
 // --- the acceptance property ---------------------------------------------
 
-TEST(ShardedExecutor, RoundRobinBitIdenticalToInline) {
+TEST(ShardedExecutor, ThreeDaemonsBitIdenticalToInline) {
   const std::vector<RunRequest> sweep = sweep_requests();
   const std::vector<RunReport> reference = inline_reports(sweep);
 
@@ -147,7 +194,6 @@ TEST(ShardedExecutor, RoundRobinBitIdenticalToInline) {
   config.endpoints = {{"127.0.0.1", a->port()},
                       {"127.0.0.1", b->port()},
                       {"127.0.0.1", c->port()}};
-  config.policy = ShardPolicy::kWeighted;
   ShardedExecutor sharded(config);
   const std::vector<RunReport> merged = sharded.run_all(sweep);
 
@@ -155,12 +201,9 @@ TEST(ShardedExecutor, RoundRobinBitIdenticalToInline) {
   for (std::size_t i = 0; i < merged.size(); ++i) {
     expect_equal_modulo_cache(reference[i], merged[i]);
   }
-  // Weighted placement over idle daemons with equal worker counts is
-  // round-robin: 6 requests, 2 per shard.
   std::size_t total = 0;
   for (const ShardStats& shard : sharded.shard_stats()) {
     EXPECT_TRUE(shard.healthy);
-    EXPECT_EQ(shard.completed, 2u);
     total += shard.completed;
   }
   EXPECT_EQ(total, sweep.size());
@@ -177,7 +220,6 @@ TEST(ShardedExecutor, WorkStealingBitIdenticalAndInRequestOrder) {
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", slow->port()},
                       {"127.0.0.1", fast->port()}};
-  config.policy = ShardPolicy::kWorkStealing;
   ShardedExecutor sharded(config);
 
   RunControl control;
@@ -202,122 +244,6 @@ TEST(ShardedExecutor, WorkStealingBitIdenticalAndInRequestOrder) {
   EXPECT_EQ(total, sweep.size());
 }
 
-TEST(ShardedExecutor, ParseAndNameCoverWeightedPolicy) {
-  ShardPolicy policy = ShardPolicy::kWorkStealing;
-  EXPECT_TRUE(parse_shard_policy("weighted", policy));
-  EXPECT_EQ(policy, ShardPolicy::kWeighted);
-  EXPECT_EQ(shard_policy_name(ShardPolicy::kWeighted), "weighted");
-  EXPECT_TRUE(parse_shard_policy("work-steal", policy));
-  EXPECT_EQ(policy, ShardPolicy::kWorkStealing);
-  EXPECT_EQ(shard_policy_name(ShardPolicy::kWorkStealing), "work-steal");
-  // Weighted placement on an idle, equal fleet is round-robin, and
-  // "work-steal" has one spelling.
-  for (const char* rejected : {"weighed", "round-robin", "work-stealing"}) {
-    EXPECT_FALSE(parse_shard_policy(rejected, policy)) << rejected;
-  }
-}
-
-TEST(ShardedExecutor, WeightedPlacementBitIdenticalAndCapacityAware) {
-  // Ten requests over a 4-worker and a 1-worker daemon, both idle: the
-  // greedy lowest-projected-utilization placement must hand the big
-  // daemon 8 and the small one 2 (utilizations 8/4 = 2 and 2/1 = 2) —
-  // and the merged reports must not care where anything ran.
-  std::vector<RunRequest> sweep;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    sweep.push_back(zdt1_request("nsga2", seed));
-  }
-  const std::vector<RunReport> reference = inline_reports(sweep);
-
-  auto big = make_server(4);
-  auto small = make_server(1);
-  ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", big->port()},
-                      {"127.0.0.1", small->port()}};
-  config.policy = ShardPolicy::kWeighted;
-  ShardedExecutor sharded(config);
-  const std::vector<RunReport> merged = sharded.run_all(sweep);
-
-  ASSERT_EQ(merged.size(), reference.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    EXPECT_EQ(merged[i].provenance.seed, sweep[i].options.seed);
-    expect_equal_modulo_cache(reference[i], merged[i]);
-  }
-  const std::vector<ShardStats>& stats = sharded.shard_stats();
-  EXPECT_EQ(stats[0].completed, 8u);
-  EXPECT_EQ(stats[1].completed, 2u);
-}
-
-TEST(ShardedExecutor, WeightedPlacementCountsQueuedRunsOnce) {
-  // Daemon A (1 worker) is busy: one endless run executing and two queued
-  // behind it, so its health reads inflight=3 queued=2 running=1. Its load
-  // is running + queued = 3 — `inflight` already counts the queued runs,
-  // so inflight + queued would charge them twice. Four requests over A and
-  // an idle 1-worker B then split 1 / 3: B takes three, reaching A's load,
-  // and the tie at 3 goes to A, the first endpoint.
-  auto a = make_server(1);
-  auto b = make_server(1);
-  serve::Client observer;
-  observer.connect("127.0.0.1", a->port());
-  auto wait_for_a = [&](const char* field, std::uint64_t value) {
-    while (util::u64_field_or(observer.health(), field, 0) != value) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-  };
-
-  RunRequest endless = endless_request(1);
-  RunControl occupier_control;
-  std::thread occupier([&] {
-    serve::Client client;
-    client.connect("127.0.0.1", a->port());
-    client.run({endless}, false, nullptr, &occupier_control);
-  });
-  wait_for_a("running", 1);
-  RunControl backlog_control;
-  std::thread backlog([&] {
-    RunRequest first = endless, second = endless;
-    first.options.seed = 2;
-    second.options.seed = 3;
-    serve::Client client;
-    client.connect("127.0.0.1", a->port());
-    client.run({first, second}, false, nullptr, &backlog_control);
-  });
-  wait_for_a("queued", 2);
-  const util::Json busy = observer.health();
-  EXPECT_EQ(util::u64_field_or(busy, "inflight", 0), 3u);
-  EXPECT_EQ(util::u64_field_or(busy, "running", 0), 1u);
-
-  std::vector<RunRequest> sweep;
-  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
-    sweep.push_back(zdt1_request("nsga2", seed));
-  }
-  const std::vector<RunReport> reference = inline_reports(sweep);
-
-  ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", a->port()}, {"127.0.0.1", b->port()}};
-  config.policy = ShardPolicy::kWeighted;
-  ShardedExecutor sharded(config);
-  auto merged_future = std::async(std::launch::async,
-                                  [&] { return sharded.run_all(sweep); });
-
-  // B's share runs while A is still occupied; then A's occupants go, so
-  // its own share can start and run_all can return.
-  while (b->runs_handled() < 3) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  occupier_control.request_stop();
-  backlog_control.request_stop();
-  occupier.join();
-  backlog.join();
-  const std::vector<RunReport> merged = merged_future.get();
-
-  ASSERT_EQ(merged.size(), reference.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    expect_equal_modulo_cache(reference[i], merged[i]);
-  }
-  EXPECT_EQ(sharded.shard_stats()[0].completed, 1u);
-  EXPECT_EQ(sharded.shard_stats()[1].completed, 3u);
-}
-
 TEST(ShardedExecutor, EachDaemonHoldsItsNextChunkQueued) {
   // Two single-worker daemons, work stealing, chunks of one (the probed
   // worker count): six chunks. Each shard's second lane sends its chunk
@@ -336,7 +262,6 @@ TEST(ShardedExecutor, EachDaemonHoldsItsNextChunkQueued) {
   auto b = make_server(1);
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", a->port()}, {"127.0.0.1", b->port()}};
-  config.policy = ShardPolicy::kWorkStealing;
   ShardedExecutor sharded(config);
   auto merged_future = std::async(std::launch::async,
                                   [&] { return sharded.run_all(sweep); });
@@ -373,19 +298,19 @@ TEST(ShardedExecutor, EachDaemonHoldsItsNextChunkQueued) {
 
 // --- fault paths ----------------------------------------------------------
 
-TEST(ShardedExecutor, DeadShardSliceRetriesOntoSurvivor) {
+TEST(ShardedExecutor, DeadShardChunkRetriesOntoSurvivor) {
   const std::vector<RunRequest> sweep = sweep_requests();
   const std::vector<RunReport> reference = inline_reports(sweep);
 
   // The dead endpoint passes the health probe and then refuses every
-  // connect: it keeps its static slice until a lane's connect fails, so the
-  // requeue machinery itself is on the hook.
+  // connect: its lanes take a chunk each and only then fail to connect, so
+  // the requeue machinery itself is on the hook (`failures` counts those
+  // connects; the probe succeeded).
   ProbeThenFailEndpoint dead(ProbeThenFailEndpoint::Mode::kRefuseAfterProbe);
   auto survivor = make_server();
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", dead.port()},
                       {"127.0.0.1", survivor->port()}};
-  config.policy = ShardPolicy::kWeighted;
   ShardedExecutor sharded(config);
   const std::vector<RunReport> merged = sharded.run_all(sweep);
 
@@ -401,68 +326,36 @@ TEST(ShardedExecutor, DeadShardSliceRetriesOntoSurvivor) {
   EXPECT_EQ(stats[1].completed, sweep.size());
 }
 
-TEST(ShardedExecutor, MidRunTransportFailureHandsWholeSliceToSurvivor) {
-  const std::vector<RunRequest> sweep = sweep_requests();
-  const std::vector<RunReport> reference = inline_reports(sweep);
-
-  // The evil endpoint passes the probe and the connect (unlike a closed
-  // port) and then drops the connection at the run line: its first chunk
-  // fails mid-conversation and its WHOLE static slice — not just the
-  // in-flight chunk — must migrate to the survivor, or the batch would hang.
-  ProbeThenFailEndpoint evil(ProbeThenFailEndpoint::Mode::kDropAtRun);
-  auto survivor = make_server();
-  ShardedExecutorConfig config;
-  config.endpoints = {{"127.0.0.1", evil.port()},
-                      {"127.0.0.1", survivor->port()}};
-  config.policy = ShardPolicy::kWeighted;
-  ShardedExecutor sharded(config);
-  const std::vector<RunReport> merged = sharded.run_all(sweep);
-
-  ASSERT_EQ(merged.size(), sweep.size());
-  for (std::size_t i = 0; i < merged.size(); ++i) {
-    expect_equal_modulo_cache(reference[i], merged[i]);
-  }
-  const std::vector<ShardStats>& stats = sharded.shard_stats();
-  EXPECT_EQ(stats[0].completed, 0u);
-  EXPECT_GE(stats[0].failures, 1u);
-  EXPECT_EQ(stats[1].completed, sweep.size());
-}
-
 TEST(ShardedExecutor, DaemonKilledMidRunResumesOnSurvivorBitIdentical) {
-  // THE PR 9 acceptance property, end to end: a real moela_serve daemon is
-  // SIGKILLed with runs in flight, the coordinator requeues its slice onto
-  // the survivor WITH the latest streamed snapshots, the survivor resumes
-  // (replays) the partial runs — and the merged batch is bit-identical to
-  // an uninterrupted inline sweep. Deterministic: the kill fires on the
-  // first snapshot-cadence event from a victim-owned request, which the
-  // coordinator harvested BEFORE forwarding, so a resume point provably
-  // exists.
-  std::vector<RunRequest> sweep;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    RunRequest request = zdt1_request("moela", seed);
-    request.options.max_evaluations = 2400;
-    request.options.snapshot_interval = 200;
-    sweep.push_back(std::move(request));
-  }
+  // The checkpoint acceptance property, end to end: a real moela_serve
+  // daemon is SIGKILLed with runs in flight, the coordinator requeues its
+  // chunks onto the survivor WITH the latest streamed snapshots, the
+  // survivor resumes (replays) the partial runs — and the merged batch is
+  // bit-identical to an uninterrupted inline sweep. The survivor's one
+  // worker is occupied, so its two one-run chunks wait in its queue and the
+  // victim (two workers, two lanes of two-run chunks) holds the other four
+  // requests. Deterministic: the kill fires on the first snapshot-cadence
+  // event, which can only come from the victim and which the coordinator
+  // harvested BEFORE forwarding, so a resume point provably exists. Then
+  // the occupier stops and the survivor serves the whole batch.
+  const std::vector<RunRequest> sweep = checkpointed_sweep();
   const std::vector<RunReport> reference = inline_reports(sweep);
 
-  auto survivor = make_server(2);
+  auto survivor = make_server(1);
+  Occupier occupier(*survivor);
   fault::DaemonProcess victim({"--no-cache", "--jobs", "2"});
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", survivor->port()},
                       {"127.0.0.1", victim.port()}};
-  // Idle daemons with equal worker counts: weighted placement is
-  // round-robin, so the victim owns the odd indices.
-  config.policy = ShardPolicy::kWeighted;
   config.stream_progress = true;
   ShardedExecutor sharded(config);
 
   fault::FaultTrigger kill_trigger(1);
   RunControl control;
   control.on_progress([&](const RunProgress& progress) {
-    if (!progress.finished && progress.batch_index % 2 == 1 &&
-        kill_trigger.fire()) {
+    if (!progress.finished && kill_trigger.fire()) {
       victim.kill();
+      occupier.stop();
     }
   });
   const std::vector<RunReport> merged = sharded.run_all(sweep, &control);
@@ -494,28 +387,21 @@ TEST(ShardedExecutor, DaemonKilledMidRunResumesOnSurvivorBitIdentical) {
 }
 
 TEST(ShardedExecutor, DaemonKilledHoldingQueuedChunkResumesBitIdentical) {
-  // A single-worker victim holds two chunks, one executing and one waiting
-  // in its queue, when it is SIGKILLed at the first snapshot-cadence event
-  // of a victim-owned request. The executing run resumes on the survivor
-  // from its snapshot, the queued one (never started) is requeued without
-  // an attempt charged, and every report matches the inline run.
-  std::vector<RunRequest> sweep;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
-    RunRequest request = zdt1_request("moela", seed);
-    request.options.max_evaluations = 2400;
-    request.options.snapshot_interval = 200;
-    sweep.push_back(std::move(request));
-  }
+  // A single-worker victim holds two one-run chunks, one executing and one
+  // waiting in its queue, when it is SIGKILLed at the first
+  // snapshot-cadence event, which can only be its own: the survivor's one
+  // worker is occupied until the kill. The executing run resumes on the
+  // survivor from its snapshot, the queued one (never started) is requeued
+  // without an attempt charged, and every report matches the inline run.
+  const std::vector<RunRequest> sweep = checkpointed_sweep();
   const std::vector<RunReport> reference = inline_reports(sweep);
 
   auto survivor = make_server(1);
+  Occupier occupier(*survivor);
   fault::DaemonProcess victim({"--no-cache", "--jobs", "1"});
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", survivor->port()},
                       {"127.0.0.1", victim.port()}};
-  // Idle daemons with equal worker counts: weighted placement is
-  // round-robin, so the victim owns the odd indices.
-  config.policy = ShardPolicy::kWeighted;
   config.stream_progress = true;
   ShardedExecutor sharded(config);
 
@@ -523,10 +409,7 @@ TEST(ShardedExecutor, DaemonKilledHoldingQueuedChunkResumesBitIdentical) {
   std::uint64_t victim_queued = 0;
   RunControl control;
   control.on_progress([&](const RunProgress& progress) {
-    if (progress.finished || progress.batch_index % 2 == 0 ||
-        !kill_trigger.fire()) {
-      return;
-    }
+    if (progress.finished || !kill_trigger.fire()) return;
     // The kill waits (bounded) until the victim reports its queued chunk.
     serve::Client observer;
     observer.connect("127.0.0.1", victim.port());
@@ -538,6 +421,7 @@ TEST(ShardedExecutor, DaemonKilledHoldingQueuedChunkResumesBitIdentical) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     victim.kill();
+    occupier.stop();
   });
   const std::vector<RunReport> merged = sharded.run_all(sweep, &control);
   EXPECT_TRUE(kill_trigger.fired());
@@ -557,22 +441,22 @@ TEST(ShardedExecutor, DaemonKilledHoldingQueuedChunkResumesBitIdentical) {
 }
 
 TEST(ShardedExecutor, TransportDeathBeforeStartDoesNotChargeAttempts) {
-  // The PR 9 attempt-accounting fix: a shard that dies before emitting a
-  // single event for a request never executed it, so the requeue must not
-  // charge the request's attempt cap. With max_attempts = 1 and solo
-  // chunks, ANY spurious charge fails the batch — before the fix, this
-  // test threw "1 attempt(s)" for the evil shard's whole slice.
+  // Attempt accounting: a shard that dies before emitting a single event
+  // for a request never executed it, so the requeue must not charge the
+  // request's attempt cap. With max_attempts = 1 and solo chunks, ANY
+  // spurious charge fails the batch with "1 attempt(s)".
   const std::vector<RunRequest> sweep = sweep_requests();
   const std::vector<RunReport> reference = inline_reports(sweep);
 
   // Size-1 chunks, the per-request charging path: the evil endpoint's
-  // probe reports no worker count and the survivor has one worker.
+  // probe reports no worker count and the survivor has one worker. The
+  // evil endpoint drops each connection at its run line, so its lanes'
+  // chunks die on the wire (`failures`) before any run starts.
   ProbeThenFailEndpoint evil(ProbeThenFailEndpoint::Mode::kDropAtRun);
   auto survivor = make_server();
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", evil.port()},
                       {"127.0.0.1", survivor->port()}};
-  config.policy = ShardPolicy::kWeighted;
   config.max_attempts = 1;  // zero tolerance for a spurious charge
   ShardedExecutor sharded(config);
   const std::vector<RunReport> merged = sharded.run_all(sweep);
@@ -581,8 +465,10 @@ TEST(ShardedExecutor, TransportDeathBeforeStartDoesNotChargeAttempts) {
   for (std::size_t i = 0; i < merged.size(); ++i) {
     expect_equal_modulo_cache(reference[i], merged[i]);
   }
-  EXPECT_EQ(sharded.shard_stats()[0].completed, 0u);
-  EXPECT_EQ(sharded.shard_stats()[1].completed, sweep.size());
+  const std::vector<ShardStats>& stats = sharded.shard_stats();
+  EXPECT_EQ(stats[0].completed, 0u);
+  EXPECT_GE(stats[0].failures, 1u);
+  EXPECT_EQ(stats[1].completed, sweep.size());
 }
 
 TEST(ShardedExecutor, HealthProbeLeavesDeadShardOutOfPlacement) {
@@ -683,7 +569,6 @@ TEST(ShardedExecutor, StopCancelsInFlightRemoteChunks) {
   auto b = make_server(1);
   ShardedExecutorConfig config;
   config.endpoints = {{"127.0.0.1", a->port()}, {"127.0.0.1", b->port()}};
-  config.policy = ShardPolicy::kWorkStealing;
   config.stream_progress = true;
 
   // moela, not nsga2: both end at a 1000-generation cap, but nsga2 gets

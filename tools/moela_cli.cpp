@@ -17,9 +17,9 @@
 //
 // With --connect host:port the same sweep flags submit to remote
 // moela_serve daemons instead of running in-process. One daemon or a
-// repeated-flag FLEET, the batch goes through api::ShardedExecutor
-// (--shard-policy picks the placement; a lone daemon gets the whole batch
-// in one wire batch): requests travel as line-delimited JSON
+// repeated-flag FLEET, the batch goes through api::ShardedExecutor (the
+// daemons' lanes steal chunks from one queue; a lone daemon gets the whole
+// batch in one wire batch): requests travel as line-delimited JSON
 // (api/serde.hpp), merged reports come back bit-identical to a local run,
 // and each daemon's process-lifetime cache answers repeats. So the CLI has
 // two execution paths, the in-process api::Executor and the coordinator.
@@ -32,8 +32,8 @@
 //   moela_cli --connect localhost:7313 --problem zdt1 --algo moela
 //             --replicates 3 --evals 2000
 //   moela_cli --connect host1:7313 --connect host2:7313
-//             --shard-policy work-steal --problem zdt1 --algo moela
-//             --replicates 8 --evals 2000      # sharded sweep
+//             --problem zdt1 --algo moela --replicates 8
+//             --evals 2000                     # sharded sweep
 //   moela_cli --connect :7313 --shutdown     # drain the daemon(s)
 //   moela_cli --list
 //
@@ -42,9 +42,9 @@
 // pipelines stay clean.
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <optional>
@@ -67,6 +67,7 @@
 #include "serve/client.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
+#include "util/numeric.hpp"
 #include "util/timer.hpp"
 
 using namespace moela;
@@ -91,8 +92,6 @@ struct CliOptions {
   /// the batch runs remotely through api::ShardedExecutor, whatever the
   /// count.
   std::vector<api::ShardEndpoint> connect;
-  api::ShardPolicy shard_policy = api::ShardPolicy::kWorkStealing;
-  bool shard_policy_set = false;  // only to reject it without --connect
   /// Scheduling class for daemon-side admission (--connect only; an
   /// in-process batch is alone in its Executor's queue).
   api::Priority priority = api::Priority::kNormal;
@@ -149,8 +148,6 @@ void print_usage(std::FILE* to) {
                "                     repeatable — several endpoints shard "
                "the batch\n"
                "                     across the fleet (docs/operations.md)\n"
-               "  --shard-policy P   shard placement: work-steal (default) or\n"
-               "                     weighted (load-aware)\n"
                "  --priority CLASS   daemon-side scheduling class: "
                "interactive,\n"
                "                     normal (default), or batch (needs "
@@ -188,13 +185,12 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     return argv[++i];
   };
   // Checked numeric parsing: a typo like "--evals 20k" must be an error,
-  // not a silent zero-budget run.
+  // not a silent zero-budget run, and an overflow must not saturate.
   auto integer_value = [&](int& i, const char* flag, auto& out) -> bool {
     const char* v = need_value(i, flag);
     if (v == nullptr) return false;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0' || std::strchr(v, '-') != nullptr) {
+    std::uint64_t parsed = 0;
+    if (!util::parse_u64(v, parsed)) {
       std::fprintf(stderr,
                    "moela_cli: %s wants a non-negative integer, got '%s'\n",
                    flag, v);
@@ -307,18 +303,6 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
         return std::nullopt;
       }
       cli.connect.push_back(std::move(endpoint));
-    } else if (arg == "--shard-policy") {
-      if ((v = need_value(i, "--shard-policy")) == nullptr) {
-        return std::nullopt;
-      }
-      if (!api::parse_shard_policy(v, cli.shard_policy)) {
-        std::fprintf(stderr,
-                     "moela_cli: bad --shard-policy '%s' (want work-steal "
-                     "or weighted)\n",
-                     v);
-        return std::nullopt;
-      }
-      cli.shard_policy_set = true;
     } else if (arg == "--priority") {
       if ((v = need_value(i, "--priority")) == nullptr) return std::nullopt;
       if (!api::parse_priority(v, cli.priority)) {
@@ -690,15 +674,13 @@ int run_sharded(const CliOptions& cli) {
     const std::vector<api::RunRequest> requests = build_requests(cli);
     std::fprintf(stderr,
                  "moela_cli: sharding %zu run(s) across %zu daemon(s) "
-                 "(%s placement, evals<=%zu, seconds<=%.1f)\n",
+                 "(evals<=%zu, seconds<=%.1f)\n",
                  requests.size(), cli.connect.size(),
-                 api::shard_policy_name(cli.shard_policy).c_str(),
                  cli.run_options.max_evaluations,
                  cli.run_options.max_seconds);
 
     api::ShardedExecutorConfig config;
     config.endpoints = cli.connect;
-    config.policy = cli.shard_policy;
     config.stream_progress = cli.progress;
     config.priority = cli.priority;
     // Checkpoints exist so a peer can resume a dead shard's runs; a lone
@@ -765,10 +747,6 @@ int main(int argc, char** argv) {
       return 2;
     }
     return show_fleet_metrics(cli);
-  }
-  if (cli.shard_policy_set && cli.connect.empty()) {
-    std::fprintf(stderr, "moela_cli: --shard-policy needs --connect\n");
-    return 2;
   }
   if (cli.priority_set && cli.connect.empty()) {
     std::fprintf(stderr, "moela_cli: --priority needs --connect (an "

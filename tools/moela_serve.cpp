@@ -21,9 +21,8 @@
 // client-side Ctrl-C never needs to touch the daemon's ladder.
 #include <atomic>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -32,6 +31,7 @@
 #include "api/result_cache.hpp"
 #include "api/run_log.hpp"
 #include "serve/server.hpp"
+#include "util/numeric.hpp"
 
 using namespace moela;
 
@@ -107,12 +107,13 @@ std::optional<ServeCliOptions> parse_args(
     }
     return argv[++i];
   };
+  // Checked numeric parsing: no sign, padding or suffix, and an overflow
+  // is an error rather than a saturated value.
   auto integer_value = [&](int& i, const char* flag, auto& out) -> bool {
     const char* v = need_value(i, flag);
     if (v == nullptr) return false;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0' || std::strchr(v, '-') != nullptr) {
+    std::uint64_t parsed = 0;
+    if (!util::parse_u64(v, parsed)) {
       std::fprintf(stderr,
                    "moela_serve: %s wants a non-negative integer, got "
                    "'%s'\n",
