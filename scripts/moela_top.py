@@ -3,8 +3,9 @@
 
 Polls each endpoint's `health` and `metrics` verbs over the line-delimited
 JSON protocol (docs/protocol.md) and renders a one-line-per-daemon table:
-version, uptime, in-flight load, queue depth per priority class, runs
-handled, cache hit rate, and request throughput. One shot by default;
+version, uptime, in-flight load, queue depth per priority class (from
+`health`), runs started, cache hit rate, and request throughput (from
+`metrics`, the one home of the lifetime counts). One shot by default;
 --watch N redraws every N seconds until Ctrl-C.
 
     scripts/moela_top.py :7313
@@ -56,6 +57,12 @@ def counter_total(metrics, family):
     return sum(int(entry.get("value", 0)) for entry in series)
 
 
+def histogram_count(metrics, family):
+    """Sum of a histogram family's series counts (0 when it never fired)."""
+    series = metrics.get(family, {}).get("series", [])
+    return sum(int(entry.get("count", 0)) for entry in series)
+
+
 def cache_hit_rate(metrics):
     lookups = metrics.get("moela_cache_lookups_total", {}).get("series", [])
     hits = misses = 0
@@ -93,10 +100,10 @@ def sample(host, port, timeout):
         "inflight": "%s/%s" % (health.get("inflight", "?"),
                                health.get("max_inflight", "?")),
         "queued": queued,
-        "runs": health.get("runs_handled", 0),
+        # Every run a worker starts observes its queue wait once.
+        "runs": histogram_count(metrics, "moela_sched_queue_wait_seconds"),
         "cache": "%.0f%%" % rate if rate is not None else "-",
-        "requests": counter_total(snapshot.get("metrics", {}),
-                                  "moela_requests_total"),
+        "requests": counter_total(metrics, "moela_requests_total"),
         "accepting": health.get("accepting", False),
     }
 

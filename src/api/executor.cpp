@@ -82,11 +82,18 @@ Executor::Executor(ExecutorConfig config)
         "moela_runs_resumed_total",
         "Runs resumed from a RunSnapshot instead of starting fresh");
     for (std::size_t cls = 0; cls < kNumClasses; ++cls) {
+      const util::MetricLabels labels = {
+          {"class", priority_name(static_cast<Priority>(cls))}};
       queue_wait_[cls] = &config_.metrics->histogram(
           "moela_sched_queue_wait_seconds",
           "Admission-to-dispatch wait of scheduled runs by priority class",
-          util::exponential_bounds(0.001, 4.0, 12),
-          {{"class", priority_name(static_cast<Priority>(cls))}});
+          util::exponential_bounds(0.001, 4.0, 12), labels);
+      runs_cancelled_[cls] = &config_.metrics->counter(
+          "moela_runs_cancelled_total",
+          "Runs whose report came back cancelled, by priority class", labels);
+      runs_shed_[cls] = &config_.metrics->counter(
+          "moela_runs_shed_total",
+          "Runs shed at admission (queue full), by priority class", labels);
     }
   }
   jobs_ = config.jobs;
@@ -131,7 +138,7 @@ Executor::Admission Executor::submit(std::vector<RunRequest> requests,
       admission.queue_depth = queue_.size();
       admission.retry_after_ms = retry_after_hint(queue_.size());
       admission.futures.clear();
-      counters_[cls].shed += n;
+      if (runs_shed_[cls] != nullptr) runs_shed_[cls]->add(n);
       return admission;
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -185,10 +192,11 @@ std::vector<RunReport> Executor::run_all(std::vector<RunRequest> requests,
 }
 
 void Executor::retire(std::size_t cls, bool cancelled) {
+  if (cancelled && runs_cancelled_[cls] != nullptr) {
+    runs_cancelled_[cls]->add();
+  }
   util::MutexLock lock(mutex_);
   --counters_[cls].running;
-  ++counters_[cls].completed;
-  if (cancelled) ++counters_[cls].cancelled;
 }
 
 void Executor::worker_loop() {

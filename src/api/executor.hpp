@@ -14,7 +14,8 @@
 // order; the moela_serve daemon submits each connection's batches under
 // the batch's priority class on the connection's lane, bounded by
 // `max_queued` (a batch is admitted whole or shed whole). Per-class
-// queued/running/completed/shed counters feed the daemon's health verb.
+// queued/running counts feed the daemon's health verb; lifetime counts go
+// to the metrics registry only.
 //
 // Guarantees:
 //   * Determinism — each run owns its EvalContext and RNG (seeded from its
@@ -65,7 +66,9 @@ struct ExecutorConfig {
   /// per-algorithm moela_run_seconds histogram, and checkpointing counts
   /// into moela_snapshots_written_total / moela_runs_resumed_total.
   /// Each dispatched run also observes its admission-to-start wait into a
-  /// per-class moela_sched_queue_wait_seconds histogram.
+  /// per-class moela_sched_queue_wait_seconds histogram (whose count is
+  /// the class's runs started), and cancelled and shed runs count into
+  /// per-class moela_runs_cancelled_total / moela_runs_shed_total.
   /// Telemetry only: nothing here feeds back into reports or cache keys.
   util::MetricsRegistry* metrics = nullptr;
   /// Directory for persisted RunSnapshots (next to the run log, in
@@ -129,7 +132,7 @@ class Executor {
   std::vector<RunReport> run_all(std::vector<RunRequest> requests,
                                  RunControl* control = nullptr);
 
-  /// Snapshot of one class's counters (the daemon's health verb).
+  /// One class's load right now (the daemon's health verb).
   ClassCounters counters(Priority priority) const;
   /// Runs queued across all classes right now.
   std::size_t queued_total() const;
@@ -153,10 +156,10 @@ class Executor {
 
   RunReport execute(const RunRequest& request, RunControl* control,
                     std::size_t index, const std::shared_ptr<BatchState>& batch);
-  /// Moves one run of class index `cls` from running to completed (and
-  /// counts it cancelled when its report says so). Called by the job
-  /// itself just before it fulfills its promise, so counter snapshots are
-  /// never behind a report the caller already holds.
+  /// Takes one run of class index `cls` off the running count (and counts
+  /// it cancelled when its report says so). Called by the job itself just
+  /// before it fulfills its promise, so the load and counts a caller reads
+  /// are never behind a report it already holds.
   void retire(std::size_t cls, bool cancelled);
   void worker_loop();
 
@@ -165,8 +168,11 @@ class Executor {
   /// hot path never does a registry name lookup.
   util::Counter* snapshots_written_ = nullptr;
   util::Counter* runs_resumed_ = nullptr;
-  /// Pre-resolved per-class queue-wait histograms; null without a registry.
+  /// Pre-resolved per-class queue-wait histograms and cancelled / shed
+  /// counters; null without a registry.
   util::Histogram* queue_wait_[kNumClasses] = {};
+  util::Counter* runs_cancelled_[kNumClasses] = {};
+  util::Counter* runs_shed_[kNumClasses] = {};
   std::size_t jobs_ = 0;
   std::vector<std::thread> workers_;
   mutable util::Mutex mutex_;
@@ -174,7 +180,7 @@ class Executor {
   /// The FairQueue is deliberately not internally synchronized; this
   /// annotation IS its locking contract (see fair_queue.hpp).
   FairQueue queue_ MOELA_GUARDED_BY(mutex_);
-  /// queued is derived from queue_; running/completed/shed live here.
+  /// queued is derived from queue_; running lives here.
   ClassCounters counters_[kNumClasses] MOELA_GUARDED_BY(mutex_);
   bool shutting_down_ MOELA_GUARDED_BY(mutex_) = false;
 };

@@ -83,17 +83,12 @@ struct Weights {
   }
 };
 
-/// One class's scheduler counters, as reported per-class by the health
-/// verb. `queued`/`running` are instantaneous; `completed`/`shed` are
-/// lifetime totals. All counts are in runs (a shed batch of 8 adds 8).
+/// One class's instantaneous load, as reported per class by the health
+/// verb, in runs. Lifetime counts (started, cancelled, shed) live in the
+/// Executor's metrics registry, never here.
 struct ClassCounters {
   std::uint64_t queued = 0;
   std::uint64_t running = 0;
-  std::uint64_t completed = 0;
-  std::uint64_t shed = 0;
-  /// Lifetime total of completed runs whose report came back cancelled;
-  /// the health verb reports only its sum across classes.
-  std::uint64_t cancelled = 0;
 };
 
 }  // namespace moela::api

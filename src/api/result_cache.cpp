@@ -369,8 +369,7 @@ std::optional<RunReport> ResultCache::lookup(const std::string& key,
     // satisfy a need_designs lookup from memory either.
     if (it != memory_.end() &&
         (!need_designs || !it->second.final_designs.empty())) {
-      ++stats_.memory_hits;
-      if (metric_memory_hits_ != nullptr) metric_memory_hits_->add();
+      memory_hits_->add();
       RunReport hit = it->second;
       hit.provenance.cache_hit = true;
       return hit;
@@ -387,17 +386,14 @@ std::optional<RunReport> ResultCache::lookup(const std::string& key,
         // least-recently-USED, not least-recently-written.
         std::error_code ec;
         fs::last_write_time(path, fs::file_time_type::clock::now(), ec);
+        disk_hits_->add();
         util::MutexLock lock(mutex_);
-        ++stats_.disk_hits;
-        if (metric_disk_hits_ != nullptr) metric_disk_hits_->add();
         memory_.emplace(key, *report);
         return report;
       }
     }
   }
-  util::MutexLock lock(mutex_);
-  ++stats_.misses;
-  if (metric_misses_ != nullptr) metric_misses_->add();
+  misses_->add();
   return std::nullopt;
 }
 
@@ -406,8 +402,7 @@ void ResultCache::store(const std::string& key, const RunReport& report) {
   {
     util::MutexLock lock(mutex_);
     memory_.insert_or_assign(key, report);
-    ++stats_.stores;
-    if (metric_stores_ != nullptr) metric_stores_->add();
+    stores_->add();
   }
   if (dir_.empty()) return;
   std::error_code ec;
@@ -467,40 +462,35 @@ void ResultCache::enforce_disk_cap(const std::string& keep) {
       ++evicted;
     }
   }
-  if (evicted > 0) {
-    util::MutexLock lock(mutex_);
-    stats_.evictions += evicted;
-    if (metric_evictions_ != nullptr) metric_evictions_->add(evicted);
-  }
+  evictions_->add(evicted);
 }
 
 void ResultCache::set_metrics(util::MetricsRegistry* metrics) {
   if (metrics == nullptr) {
-    metric_memory_hits_ = nullptr;
-    metric_disk_hits_ = nullptr;
-    metric_misses_ = nullptr;
-    metric_stores_ = nullptr;
-    metric_evictions_ = nullptr;
+    memory_hits_ = &own_.memory_hits;
+    disk_hits_ = &own_.disk_hits;
+    misses_ = &own_.misses;
+    stores_ = &own_.stores;
+    evictions_ = &own_.evictions;
     return;
   }
   const std::string lookups = "moela_cache_lookups_total";
   const std::string lookups_help = "Result-cache lookups by outcome";
-  metric_memory_hits_ =
+  memory_hits_ =
       &metrics->counter(lookups, lookups_help, {{"result", "hit_memory"}});
-  metric_disk_hits_ =
+  disk_hits_ =
       &metrics->counter(lookups, lookups_help, {{"result", "hit_disk"}});
-  metric_misses_ =
-      &metrics->counter(lookups, lookups_help, {{"result", "miss"}});
-  metric_stores_ = &metrics->counter("moela_cache_stores_total",
-                                     "Reports stored into the result cache");
-  metric_evictions_ =
+  misses_ = &metrics->counter(lookups, lookups_help, {{"result", "miss"}});
+  stores_ = &metrics->counter("moela_cache_stores_total",
+                              "Reports stored into the result cache");
+  evictions_ =
       &metrics->counter("moela_cache_evictions_total",
                         "Disk-tier entry files evicted by the size cap");
 }
 
 ResultCache::Stats ResultCache::stats() const {
-  util::MutexLock lock(mutex_);
-  return stats_;
+  return {memory_hits_->value(), disk_hits_->value(), misses_->value(),
+          stores_->value(), evictions_->value()};
 }
 
 }  // namespace moela::api

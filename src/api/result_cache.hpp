@@ -84,12 +84,17 @@ class ResultCache {
     /// Disk entries removed by the size cap (lifetime of this instance).
     std::size_t evictions = 0;
   };
+  /// Reads the outcome counters: the registry's moela_cache_* series after
+  /// set_metrics(), the cache's own before. Each field is read on its own,
+  /// so a stats() racing lookups may mix counts from two instants.
   Stats stats() const;
 
   /// Attaches a telemetry registry (not owned; must outlive this cache).
-  /// Lookup/store/eviction outcomes then mirror into labeled counters
-  /// (moela_cache_*); handles resolve once here so the hot path stays an
-  /// atomic add. Call before concurrent use.
+  /// Lookup/store/eviction outcomes then count into its labeled counters
+  /// (moela_cache_*) and nowhere else; stats() reads them back. Handles
+  /// resolve once here so the hot path stays an atomic add. Call before
+  /// the first lookup or store: counts taken before are not carried over.
+  /// Null returns the counting to the cache's own counters.
   void set_metrics(util::MetricsRegistry* metrics);
 
   const std::string& disk_dir() const { return dir_; }
@@ -102,23 +107,25 @@ class ResultCache {
   /// sparing the just-written `keep` (unless it alone busts the cap).
   void enforce_disk_cap(const std::string& keep);
 
-  mutable util::Mutex mutex_;
+  util::Mutex mutex_;
   std::map<std::string, RunReport> memory_ MOELA_GUARDED_BY(mutex_);
   /// Immutable after construction — readable lock-free.
   std::string dir_;
   /// Lock-free by design (see set_max_disk_bytes above), so deliberately
   /// not MOELA_GUARDED_BY(mutex_).
   std::atomic<std::uintmax_t> max_disk_bytes_{default_max_disk_bytes()};
-  Stats stats_ MOELA_GUARDED_BY(mutex_);
-  /// Pre-resolved telemetry handles; null until set_metrics(), which the
-  /// contract requires to run before concurrent use — after that the
-  /// pointers are read-only and the Counters they point at are themselves
-  /// relaxed atomics, so no capability is needed here.
-  util::Counter* metric_memory_hits_ = nullptr;
-  util::Counter* metric_disk_hits_ = nullptr;
-  util::Counter* metric_misses_ = nullptr;
-  util::Counter* metric_stores_ = nullptr;
-  util::Counter* metric_evictions_ = nullptr;
+  /// The cache's own outcome counters, counted into until set_metrics().
+  struct OwnCounters {
+    util::Counter memory_hits, disk_hits, misses, stores, evictions;
+  } own_;
+  /// Where each outcome counts: `own_` or the registry's series. Set
+  /// before concurrent use (set_metrics' contract) and read-only after; the
+  /// Counters are relaxed atomics, so no capability is needed here.
+  util::Counter* memory_hits_ = &own_.memory_hits;
+  util::Counter* disk_hits_ = &own_.disk_hits;
+  util::Counter* misses_ = &own_.misses;
+  util::Counter* stores_ = &own_.stores;
+  util::Counter* evictions_ = &own_.evictions;
 };
 
 namespace detail {

@@ -93,13 +93,6 @@ void run_shard(const ShardedExecutorConfig& config,
         "Requests handed back to the pool after a shard failure",
         {{"endpoint", endpoint.to_string()}});
   }
-  util::Counter* resumed_total = nullptr;
-  if (config.metrics != nullptr && config.checkpoint) {
-    resumed_total = &config.metrics->counter(
-        "moela_shard_resumed_total",
-        "Requests completed from a mid-run snapshot after a shard failure",
-        {{"endpoint", endpoint.to_string()}});
-  }
 
   serve::Client client;
   for (;;) {
@@ -264,9 +257,6 @@ void run_shard(const ShardedExecutorConfig& config,
       shared.inflight -= chunk.size();
       stats.completed += chunk.size();
       stats.resumed += resuming;
-      if (resumed_total != nullptr && resuming > 0) {
-        resumed_total->add(resuming);
-      }
       shared.work_cv.notify_all();
       continue;
     } catch (const serve::RemoteError& e) {
@@ -357,14 +347,13 @@ std::vector<RunReport> ShardedExecutor::run_all(
   if (n == 0) return reports;
 
   // Placement gate: probe each endpoint's `health` verb and give dead or
-  // draining daemons no lanes. (A daemon predating the verb still places
-  // if it answers a ping.) Probes run concurrently so one blackholed
+  // draining daemons no lanes. Probes run concurrently so one blackholed
   // endpoint cannot serialize the whole fleet's startup behind its TCP
   // connect timeout.
   std::vector<std::size_t> healthy;
   /// What each probe reported; zero when the probe failed or the daemon
-  /// predates the field. `max_inflight` is the daemon's per-connection
-  /// bound.
+  /// did not report the field. `max_inflight` is the daemon's
+  /// per-connection bound.
   struct Probed {
     std::size_t jobs = 0;
     std::size_t max_inflight = 0;
@@ -378,19 +367,14 @@ std::vector<RunReport> ShardedExecutor::run_all(
       try {
         serve::Client probe;
         probe.connect(endpoint.host, endpoint.port);
+        const Json health = probe.health();
         bool accepting = true;
-        try {
-          const Json health = probe.health();
-          if (const Json* a = health.find("accepting");
-              a != nullptr && a->is_bool()) {
-            accepting = a->as_bool();
-          }
-          probed[s].jobs = util::u64_field_or(health, "jobs", 0);
-          probed[s].max_inflight =
-              util::u64_field_or(health, "max_inflight", 0);
-        } catch (const serve::RemoteError&) {
-          accepting = probe.ping();  // daemon predates the health verb
+        if (const Json* a = health.find("accepting");
+            a != nullptr && a->is_bool()) {
+          accepting = a->as_bool();
         }
+        probed[s].jobs = util::u64_field_or(health, "jobs", 0);
+        probed[s].max_inflight = util::u64_field_or(health, "max_inflight", 0);
         if (accepting) {
           stats_[s].healthy = true;
         } else {

@@ -123,7 +123,9 @@ struct ShardStats {
   /// Chunks that failed on this shard (transport or server error).
   std::size_t failures = 0;
   /// Completed requests that resumed from a mid-run snapshot (i.e. work
-  /// this shard continued for a failed peer rather than restarted).
+  /// this shard continued for a failed peer rather than restarted). The
+  /// coordinator's only count of resumes; each daemon counts its own in
+  /// moela_runs_resumed_total.
   std::size_t resumed = 0;
   /// The shard's last error, empty when it never failed.
   std::string error;

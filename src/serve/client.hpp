@@ -122,18 +122,18 @@ class Client {
 
   /// True when the daemon answers a ping.
   bool ping();
-  /// Load/health snapshot (health verb): jobs, inflight, max_inflight,
-  /// runs_handled, accepting, cache counters. Throws RemoteError when the
-  /// daemon predates the verb.
+  /// Liveness and load (health verb): accepting, jobs, inflight,
+  /// max_inflight, queued, running, max_queued, per-class queued/running.
+  /// Lifetime counts come from metrics().
   util::Json health();
   /// {"name", "knobs": [...]} per registered algorithm.
   util::Json list_algorithms();
   std::vector<std::string> list_problems();
-  /// The daemon's cache/runs counters (cache_stats verb).
+  /// The daemon's cache block (cache_stats verb): outcome counts, dir and
+  /// size cap.
   util::Json cache_stats();
   /// Full telemetry snapshot (metrics verb): the daemon's MetricsRegistry
-  /// as JSON plus uptime_seconds/version. Throws RemoteError when the
-  /// daemon predates the verb.
+  /// as JSON, every lifetime count included, plus uptime_seconds/version.
   util::Json metrics();
   /// Asks the daemon to drain and exit.
   void shutdown_server();

@@ -9,7 +9,9 @@
 //   {"id":1,"verb":"ping"}
 //   {"id":2,"verb":"list_algorithms"}
 //   {"id":3,"verb":"list_problems"}
-//   {"id":4,"verb":"cache_stats"}
+//   {"id":4,"verb":"cache_stats"} — the cache block: enabled, outcome
+//                                  counts (the moela_cache_* series), dir
+//                                  and max_disk_bytes
 //   {"id":5,"verb":"run","requests":[<RunRequest JSON, api/serde.hpp>,...],
 //    "progress":true}
 //                                — a request may set "checkpoint":true
@@ -20,17 +22,20 @@
 //                                  interrupted run bit-identically. A
 //                                  malformed resume payload rejects the
 //                                  batch whole.
-//   {"id":6,"verb":"health"}     — load snapshot (jobs, inflight,
-//                                  runs_handled, runs_cancelled,
-//                                  runs_resumed, snapshots_written,
-//                                  accepting, cache counters);
+//   {"id":6,"verb":"health"}     — liveness and load only (accepting,
+//                                  jobs, inflight, max_inflight, queued,
+//                                  running, max_queued, per-class
+//                                  queued/running, uptime);
 //                                  api::ShardedExecutor probes it for
-//                                  placement
-//   {"id":9,"verb":"metrics"}    — full telemetry snapshot (the
+//                                  placement. Lifetime counts are the
+//                                  metrics verb's.
+//   {"id":9,"verb":"metrics"}    — full telemetry snapshot and the one
+//                                  home of every lifetime count (the
 //                                  MetricsRegistry's JSON form: per-verb
 //                                  request counters/latency, per-class
-//                                  queue waits, cache and shard counters,
-//                                  per-algorithm run times) plus
+//                                  queue waits, cancelled and shed runs,
+//                                  resumes, snapshots written, cache
+//                                  outcomes, per-algorithm run times) plus
 //                                  uptime_seconds and version. The same
 //                                  numbers scrape as Prometheus text via
 //                                  moela_serve --metrics-dump.
@@ -92,9 +97,10 @@ namespace moela::serve {
 /// Default TCP port of moela_serve.
 inline constexpr int kDefaultPort = 7313;
 
-/// Protocol revision, reported by the "ping" verb. Bump on breaking wire
-/// changes.
-inline constexpr int kProtocolVersion = 1;
+/// Protocol revision, reported by the "ping", "health" and "metrics" verbs.
+/// Bump on breaking wire changes. Revision 2 took the lifetime counts out
+/// of "health" and the run count out of "cache_stats".
+inline constexpr int kProtocolVersion = 2;
 
 /// Build/schema version string, reported by the "health" and "metrics"
 /// verbs so an operator can tell which build a long-lived daemon runs.

@@ -44,32 +44,6 @@ void close_fd(int& fd) {
   }
 }
 
-/// The cache-counter block shared by the cache_stats and health verbs
-/// (one source of truth so the two views cannot drift).
-Json cache_counters_json(bool enabled, const api::ResultCache* cache) {
-  Json out = Json::object();
-  out.set("enabled", enabled);
-  if (enabled && cache != nullptr) {
-    const api::ResultCache::Stats stats = cache->stats();
-    out.set("memory_hits", stats.memory_hits)
-        .set("disk_hits", stats.disk_hits)
-        .set("misses", stats.misses)
-        .set("stores", stats.stores)
-        .set("evictions", stats.evictions);
-  }
-  return out;
-}
-
-/// One lifetime counter summed over the Executor's priority classes.
-std::uint64_t sum_class_counters(const api::Executor& executor,
-                                 std::uint64_t api::ClassCounters::*field) {
-  std::uint64_t sum = 0;
-  for (std::size_t c = 0; c < api::kNumClasses; ++c) {
-    sum += executor.counters(static_cast<api::Priority>(c)).*field;
-  }
-  return sum;
-}
-
 }  // namespace
 
 Server::Server(ServeConfig config)
@@ -114,15 +88,6 @@ Server::Server(ServeConfig config)
       verb_metrics_.emplace(verb, vm);
     }
   }
-
-  // Alias the Executor's checkpoint counters (same name + help resolve to
-  // the same series) so the health verb reads them without a name lookup.
-  runs_resumed_counter_ = &metrics_.counter(
-      "moela_runs_resumed_total",
-      "Runs resumed from a RunSnapshot instead of starting fresh");
-  snapshots_written_counter_ = &metrics_.counter(
-      "moela_snapshots_written_total",
-      "RunSnapshots persisted to the snapshot directory");
 }
 
 Server::~Server() {
@@ -410,22 +375,27 @@ void Server::handle_line(const std::shared_ptr<Connection>& connection,
     response.set("problems", std::move(problems));
     respond(response);
   } else if (verb == "cache_stats") {
-    Json cache = cache_counters_json(config_.use_cache, &cache_);
+    Json cache = Json::object();
+    cache.set("enabled", config_.use_cache);
     if (config_.use_cache) {
-      cache.set("dir", cache_.disk_dir())
+      const api::ResultCache::Stats stats = cache_.stats();
+      cache.set("memory_hits", stats.memory_hits)
+          .set("disk_hits", stats.disk_hits)
+          .set("misses", stats.misses)
+          .set("stores", stats.stores)
+          .set("evictions", stats.evictions)
+          .set("dir", cache_.disk_dir())
           .set("max_disk_bytes",
                static_cast<std::uint64_t>(cache_.max_disk_bytes()));
     }
     Json response = make_ok(id);
-    response.set("cache", std::move(cache))
-        .set("runs_handled", runs_handled());
+    response.set("cache", std::move(cache));
     respond(response);
   } else if (verb == "health") {
-    // One-line load snapshot for shard placement (api::ShardedExecutor
-    // probes this before partitioning a batch): capacity, current load,
-    // queue backlog (total and per class), lifetime counters, and
-    // whether new runs would be accepted.
-    Json cache = cache_counters_json(config_.use_cache, &cache_);
+    // Liveness and load only, for shard placement (api::ShardedExecutor
+    // probes this before sizing its chunks) and fleet monitors: capacity,
+    // current load, queue backlog (total and per class), and whether new
+    // runs would be accepted. Lifetime counts are the metrics verb's.
     Json response = make_ok(id);
     response.set("server", "moela_serve")
         .set("protocol", kProtocolVersion)
@@ -440,12 +410,7 @@ void Server::handle_line(const std::shared_ptr<Connection>& connection,
              static_cast<std::uint64_t>(executor_->running_total()))
         .set("max_queued", static_cast<std::uint64_t>(config_.max_queued))
         .set("classes", sched_classes_json())
-        .set("runs_handled", runs_handled())
-        .set("runs_cancelled", runs_cancelled())
-        .set("runs_resumed", runs_resumed_counter_->value())
-        .set("snapshots_written", snapshots_written_counter_->value())
-        .set("accepting", !shutdown_requested())
-        .set("cache", std::move(cache));
+        .set("accepting", !shutdown_requested());
     respond(response);
   } else if (verb == "metrics") {
     // The registry's JSON snapshot, plus the same identity/uptime header
@@ -473,14 +438,6 @@ void Server::handle_line(const std::shared_ptr<Connection>& connection,
   }
 }
 
-std::uint64_t Server::runs_handled() const {
-  return sum_class_counters(*executor_, &api::ClassCounters::completed);
-}
-
-std::uint64_t Server::runs_cancelled() const {
-  return sum_class_counters(*executor_, &api::ClassCounters::cancelled);
-}
-
 std::size_t Server::inflight_total() {
   util::MutexLock lock(conn_mutex_);
   std::size_t runs = 0;
@@ -498,10 +455,7 @@ Json Server::sched_classes_json() const {
     const auto priority = static_cast<api::Priority>(c);
     const api::ClassCounters counters = executor_->counters(priority);
     Json entry = Json::object();
-    entry.set("queued", counters.queued)
-        .set("running", counters.running)
-        .set("completed", counters.completed)
-        .set("shed", counters.shed);
+    entry.set("queued", counters.queued).set("running", counters.running);
     classes.set(api::priority_name(priority), std::move(entry));
   }
   return classes;

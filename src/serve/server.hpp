@@ -139,24 +139,16 @@ class Server {
     return config_.use_cache ? &cache_ : nullptr;
   }
 
-  /// Total runs executed or served from cache since start (for tests and
-  /// the cache_stats verb): the Executor's per-class completed counters.
-  std::uint64_t runs_handled() const;
-
-  /// Runs that finished cancelled — via the cancel verb or the hard-stop
-  /// drain rung (for tests and the health verb): the Executor's per-class
-  /// cancelled counters.
-  std::uint64_t runs_cancelled() const;
-
   /// Runs queued or running across all connections right now (for tests
   /// and the health verb): the runs of every unanswered batch record.
   std::size_t inflight_total();
 
-  /// The daemon's telemetry registry. Every layer (verb dispatch, the
-  /// cache, the Executor and its queue) feeds it; the `metrics` verb
-  /// snapshots it as JSON and metrics_text() as Prometheus exposition
-  /// (moela_serve --metrics-dump). Telemetry only — nothing here touches
-  /// cache keys or report bytes.
+  /// The daemon's telemetry registry, the one store of every lifetime
+  /// count: verb dispatch, the cache, the Executor and its queue all feed
+  /// it (runs started, cancelled, shed, resumed; snapshots written; cache
+  /// outcomes). The `metrics` verb snapshots it as JSON and metrics_text()
+  /// as Prometheus exposition (moela_serve --metrics-dump). Telemetry only
+  /// — nothing here touches cache keys or report bytes.
   const util::MetricsRegistry& metrics() const { return metrics_; }
   std::string metrics_text() const { return metrics_.prometheus_text(); }
 
@@ -228,7 +220,7 @@ class Server {
                  Connection::Batch* batch,
                  std::vector<std::future<api::RunReport>> futures,
                  api::Priority priority);
-  /// The health verb's per-class counter block.
+  /// The health verb's per-class load block (queued, running).
   util::Json sched_classes_json() const;
   /// Stops the listener and nudges idle connection readers; safe to call
   /// repeatedly, from the watcher or teardown.
@@ -249,11 +241,6 @@ class Server {
   };
   std::map<std::string, VerbMetrics> verb_metrics_;
   VerbMetrics other_verb_metrics_;
-  /// The Executor's checkpoint counters, pre-resolved (same name + help,
-  /// so they alias the Executor's series) for the health verb's
-  /// runs_resumed / snapshots_written fields.
-  util::Counter* runs_resumed_counter_ = nullptr;
-  util::Counter* snapshots_written_counter_ = nullptr;
   /// Monotonic clock started by start(): the health verb's uptime.
   util::Timer started_at_;
   api::ResultCache cache_;

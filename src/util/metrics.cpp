@@ -159,9 +159,6 @@ MetricsRegistry::Series& MetricsRegistry::resolve(
       case Kind::kCounter:
         series.counter = std::make_unique<Counter>();
         break;
-      case Kind::kGauge:
-        series.gauge = std::make_unique<Gauge>();
-        break;
       case Kind::kHistogram:
         series.histogram = std::make_unique<Histogram>(family.bounds);
         break;
@@ -175,11 +172,6 @@ Counter& MetricsRegistry::counter(const std::string& name,
                                   MetricLabels labels) {
   return *resolve(name, help, Kind::kCounter, std::move(labels), nullptr)
               .counter;
-}
-
-Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
-                              MetricLabels labels) {
-  return *resolve(name, help, Kind::kGauge, std::move(labels), nullptr).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(const std::string& name,
@@ -197,7 +189,6 @@ Json MetricsRegistry::snapshot_json() const {
     Json entry = Json::object();
     switch (family.kind) {
       case Kind::kCounter: entry.set("type", "counter"); break;
-      case Kind::kGauge: entry.set("type", "gauge"); break;
       case Kind::kHistogram: entry.set("type", "histogram"); break;
     }
     entry.set("help", family.help);
@@ -213,13 +204,6 @@ Json MetricsRegistry::snapshot_json() const {
         case Kind::kCounter:
           row.set("value", Json(series.counter->value()));
           break;
-        case Kind::kGauge: {
-          // Json has no signed-integer storage; gauges snapshot as a
-          // double (levels here are small: depths, connection counts).
-          row.set("value",
-                  Json(static_cast<double>(series.gauge->value())));
-          break;
-        }
         case Kind::kHistogram: {
           const Histogram& h = *series.histogram;
           Json bounds = Json::array();
@@ -251,7 +235,6 @@ std::string MetricsRegistry::prometheus_text() const {
     out += "# TYPE " + name + ' ';
     switch (family.kind) {
       case Kind::kCounter: out += "counter\n"; break;
-      case Kind::kGauge: out += "gauge\n"; break;
       case Kind::kHistogram: out += "histogram\n"; break;
     }
     for (const auto& [key, series] : family.series) {
@@ -259,10 +242,6 @@ std::string MetricsRegistry::prometheus_text() const {
         case Kind::kCounter:
           out += series_name(name, key) + ' ' +
                  dec(series.counter->value()) + '\n';
-          break;
-        case Kind::kGauge:
-          out += series_name(name, key) + ' ' +
-                 dec(series.gauge->value()) + '\n';
           break;
         case Kind::kHistogram: {
           const Histogram& h = *series.histogram;

@@ -1,10 +1,10 @@
-// Dependency-free telemetry registry: labeled counters, gauges, and
-// fixed-bucket histograms with deterministic bounds, plus trace-id minting
+// Dependency-free telemetry registry: labeled counters and fixed-bucket
+// histograms with deterministic bounds, plus trace-id minting
 // for cross-process run correlation (docs/observability.md).
 //
 // Design constraints, in order:
 //   1. The increment path is hot (per-verb, per-run, per-cache-lookup), so
-//      Counter/Gauge/Histogram mutate through std::atomic with relaxed
+//      Counter/Histogram mutate through std::atomic with relaxed
 //      ordering — no locks, no allocation. The registry mutex guards only
 //      metric CREATION and SNAPSHOTS; callers resolve handles once (at
 //      construction/startup) and hold the returned reference.
@@ -53,22 +53,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Instantaneous signed level (queue depth, inflight connections).
-class Gauge {
- public:
-  void set(std::int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void add(std::int64_t n = 1) {
-    value_.fetch_add(n, std::memory_order_relaxed);
-  }
-  void sub(std::int64_t n = 1) {
-    value_.fetch_sub(n, std::memory_order_relaxed);
-  }
-  std::int64_t value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<std::int64_t> value_{0};
-};
-
 /// Fixed-bucket histogram with Prometheus le-semantics: an observation
 /// lands in the first bucket whose upper bound is >= the value; values
 /// above every bound land in the implicit +Inf bucket. The sum is held as
@@ -114,7 +98,7 @@ std::vector<double> exponential_bounds(double lo, double factor,
 /// even when two mints share a clock tick.
 std::string mint_trace_id();
 
-/// The registry: named families of counters/gauges/histograms, each family
+/// The registry: named families of counters/histograms, each family
 /// fanning out into label-keyed series. Creation and snapshotting lock;
 /// the returned references stay valid (and lock-free) for the registry's
 /// lifetime.
@@ -128,8 +112,6 @@ class MetricsRegistry {
   /// registering the same (name, labels) twice returns the same object.
   Counter& counter(const std::string& name, const std::string& help,
                    MetricLabels labels = {});
-  Gauge& gauge(const std::string& name, const std::string& help,
-               MetricLabels labels = {});
   /// `bounds` applies on family creation; later calls for the same family
   /// reuse the family's bounds (per-family bounds keep exposition sane).
   Histogram& histogram(const std::string& name, const std::string& help,
@@ -144,12 +126,11 @@ class MetricsRegistry {
   std::string prometheus_text() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
 
   struct Series {
     MetricLabels labels;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
   struct Family {
@@ -166,7 +147,7 @@ class MetricsRegistry {
                   const std::vector<double>* bounds);
 
   mutable util::Mutex mutex_;
-  /// Guarded for CREATION and iteration only; the Counter/Gauge/Histogram
+  /// Guarded for CREATION and iteration only; the Counter/Histogram
   /// objects a Series owns are lock-free by design (design constraint 1
   /// above: relaxed atomics on the increment path), stable-addressed via
   /// unique_ptr, and deliberately mutate without this capability.

@@ -21,7 +21,9 @@
 //   * ProbeThenFailEndpoint — passes the coordinator's health probe, then
 //                            either refuses every later connect or drops
 //                            each connection at its first run line — a
-//                            daemon dying right after joining the fleet.
+//                            daemon dying right after joining the fleet;
+//                            or answers the probe "accepting": false — a
+//                            draining daemon.
 #pragma once
 
 #include <atomic>
@@ -63,18 +65,20 @@ inline int closed_port() {
   return port;
 }
 
-/// A fake daemon that passes the coordinator's health probe and then fails.
+/// A fake daemon that fails the coordinator at or after its health probe.
 /// It answers every verb but `run` with a bare ok (no capacity fields, so
-/// the coordinator sends it one-request chunks), and then does what its
-/// mode says:
+/// the coordinator sends it one-request chunks), closes the connection at
+/// a run line, and does what its mode says:
 ///   * kRefuseAfterProbe — shuts its listener before its first reply, so
 ///     every later connect is refused: a daemon that dies right after the
 ///     probe;
 ///   * kDropAtRun — drops each connection at its first run line: a daemon
-///     that dies mid-conversation, before it starts any run.
+///     that dies mid-conversation, before it starts any run;
+///   * kDraining — answers `health` with "accepting": false, as a daemon
+///     shutting down does, so the probe must give it no lanes.
 class ProbeThenFailEndpoint {
  public:
-  enum class Mode { kRefuseAfterProbe, kDropAtRun };
+  enum class Mode { kRefuseAfterProbe, kDropAtRun, kDraining };
 
   explicit ProbeThenFailEndpoint(Mode mode) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -97,13 +101,19 @@ class ProbeThenFailEndpoint {
         std::string line;
         while (reader.read_line(line)) {
           const auto message = util::Json::try_parse(line, nullptr);
-          if (!message.has_value() || !message->is_object() ||
-              util::string_field_or(*message, "verb") == "run") {
+          if (!message.has_value() || !message->is_object()) break;
+          const std::string verb = util::string_field_or(*message, "verb");
+          if (verb == "run") {
+            run_lines_.fetch_add(1, std::memory_order_relaxed);
             break;
           }
           if (mode == Mode::kRefuseAfterProbe) ::shutdown(fd_, SHUT_RDWR);
-          serve::send_json(
-              conn, serve::make_ok(util::u64_field_or(*message, "id", 0)));
+          util::Json reply =
+              serve::make_ok(util::u64_field_or(*message, "id", 0));
+          if (mode == Mode::kDraining && verb == "health") {
+            reply.set("accepting", false);
+          }
+          serve::send_json(conn, reply);
         }
         ::close(conn);
       }
@@ -120,10 +130,15 @@ class ProbeThenFailEndpoint {
   ProbeThenFailEndpoint& operator=(const ProbeThenFailEndpoint&) = delete;
 
   int port() const { return port_; }
+  /// Run lines that reached this endpoint.
+  std::size_t run_lines() const {
+    return run_lines_.load(std::memory_order_relaxed);
+  }
 
  private:
   int fd_ = -1;
   int port_ = 0;
+  std::atomic<std::size_t> run_lines_{0};
   std::thread server_;
 };
 

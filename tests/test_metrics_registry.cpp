@@ -21,15 +21,11 @@ TEST(MetricsRegistry, GoldenPrometheusText) {
       .add(2);
   registry.counter("t_requests_total", "Requests seen", {{"verb", "run"}})
       .add();
-  registry.gauge("t_queue_depth", "Queue depth").set(-3);
   // Empty help suppresses the # HELP line; no observations keep the sum an
   // exact 0, so the whole exposition is byte-stable.
   registry.histogram("t_wait_seconds", "", {0.25, 1.0, 4.0});
 
   const std::string expected =
-      "# HELP t_queue_depth Queue depth\n"
-      "# TYPE t_queue_depth gauge\n"
-      "t_queue_depth -3\n"
       "# HELP t_requests_total Requests seen\n"
       "# TYPE t_requests_total counter\n"
       "t_requests_total{verb=\"ping\"} 2\n"
@@ -113,7 +109,7 @@ TEST(MetricsRegistry, SameNameAndLabelsResolveToOneSeries) {
 TEST(MetricsRegistry, KindMismatchThrows) {
   MetricsRegistry registry;
   registry.counter("t_dual", "h");
-  EXPECT_THROW(registry.gauge("t_dual", "h"), std::logic_error);
+  EXPECT_THROW(registry.histogram("t_dual", "h", {1.0}), std::logic_error);
 }
 
 TEST(MetricsRegistry, LabelValuesAreEscaped) {

@@ -5,7 +5,8 @@
 // policy vocabulary (src/api/priority.hpp: wire spellings, weight
 // clamping) and the api::Executor that drains the queue: admission,
 // all-or-nothing shedding with the structured overload facts, per-class
-// counters, the bit-identical-to-inline property of runs dispatched
+// load and the per-class counts in its metrics registry (runs started,
+// shed, cancelled), the bit-identical-to-inline property of runs dispatched
 // through the queue, and the unbounded default of an in-process batch.
 #include <gtest/gtest.h>
 
@@ -19,6 +20,8 @@
 #include "api/fair_queue.hpp"
 #include "api/priority.hpp"
 #include "api/request.hpp"
+#include "util/json.hpp"
+#include "util/metrics.hpp"
 
 namespace moela::api {
 namespace {
@@ -27,6 +30,35 @@ QueueItem tagged(std::uint64_t tag) {
   QueueItem item;
   item.tag = tag;
   return item;
+}
+
+/// One class's series of a metric family in `metrics`: a histogram's count
+/// or a counter's value; 0 when the family is not registered.
+std::uint64_t class_count(const util::MetricsRegistry& metrics,
+                          const std::string& family, Priority priority) {
+  const util::Json snapshot = metrics.snapshot_json();
+  const util::Json* found = snapshot.find(family);
+  if (found == nullptr) return 0;
+  for (const util::Json& series : found->find("series")->as_array()) {
+    if (series.find("labels")->find("class")->as_string() !=
+        priority_name(priority)) {
+      continue;
+    }
+    const util::Json* count = series.find("count");
+    return (count != nullptr ? count : series.find("value"))->as_u64();
+  }
+  return 0;
+}
+
+/// Runs of a class a worker has started: the queue-wait histogram's count.
+std::uint64_t started(const util::MetricsRegistry& metrics,
+                      Priority priority) {
+  return class_count(metrics, "moela_sched_queue_wait_seconds", priority);
+}
+
+std::uint64_t shed_runs(const util::MetricsRegistry& metrics,
+                        Priority priority) {
+  return class_count(metrics, "moela_runs_shed_total", priority);
 }
 
 /// Drains the queue, returning the popped tags in dispatch order.
@@ -193,7 +225,8 @@ TEST(ExecutorQueue, RunsDispatchedThroughTheQueueMatchInlineExecution) {
   Executor direct({.jobs = 1});
   const RunReport reference = direct.run_all({zdt1_request(5)}).front();
 
-  Executor executor({.jobs = 2});
+  util::MetricsRegistry metrics;
+  Executor executor({.jobs = 2, .metrics = &metrics});
   Executor::Admission admission = executor.submit(
       {zdt1_request(5)}, nullptr, Priority::kInteractive, /*lane=*/3);
   ASSERT_TRUE(admission.admitted);
@@ -205,17 +238,19 @@ TEST(ExecutorQueue, RunsDispatchedThroughTheQueueMatchInlineExecution) {
   EXPECT_EQ(report.provenance.cache_key, reference.provenance.cache_key);
 
   const ClassCounters counters = executor.counters(Priority::kInteractive);
-  EXPECT_EQ(counters.completed, 1u);
+  EXPECT_EQ(started(metrics, Priority::kInteractive), 1u);
   EXPECT_EQ(counters.running, 0u);
-  EXPECT_EQ(counters.shed, 0u);
-  EXPECT_EQ(executor.counters(Priority::kNormal).completed, 0u);
+  EXPECT_EQ(shed_runs(metrics, Priority::kInteractive), 0u);
+  EXPECT_EQ(started(metrics, Priority::kNormal), 0u);
   EXPECT_EQ(executor.queued_total(), 0u);
   EXPECT_EQ(executor.running_total(), 0u);
 }
 
 TEST(ExecutorQueue, BatchLargerThanMaxQueuedIsShedWholeWithStructuredFacts) {
+  util::MetricsRegistry metrics;
   ExecutorConfig config;
   config.jobs = 1;
+  config.metrics = &metrics;
   config.max_queued = 2;
   Executor executor(config);
 
@@ -228,13 +263,13 @@ TEST(ExecutorQueue, BatchLargerThanMaxQueuedIsShedWholeWithStructuredFacts) {
   EXPECT_EQ(shed.queue_depth, 0u);
   EXPECT_EQ(shed.retry_after_ms, executor.retry_after_hint(0));
   EXPECT_EQ(executor.queued_total(), 0u);
-  EXPECT_EQ(executor.counters(Priority::kNormal).shed, 3u);
-  EXPECT_EQ(executor.counters(Priority::kNormal).completed, 0u);
+  EXPECT_EQ(shed_runs(metrics, Priority::kNormal), 3u);
+  EXPECT_EQ(started(metrics, Priority::kNormal), 0u);
   // run_all has no way to hand back a shed decision: it throws.
   EXPECT_THROW(
       executor.run_all({zdt1_request(1), zdt1_request(2), zdt1_request(3)}),
       std::runtime_error);
-  EXPECT_EQ(executor.counters(Priority::kNormal).shed, 6u);
+  EXPECT_EQ(shed_runs(metrics, Priority::kNormal), 6u);
 
   // The shed batches left no residue: a batch within the bound runs fine.
   Executor::Admission ok = executor.submit(
@@ -243,8 +278,8 @@ TEST(ExecutorQueue, BatchLargerThanMaxQueuedIsShedWholeWithStructuredFacts) {
   for (auto& future : ok.futures) {
     EXPECT_EQ(future.get().evaluations, 400u);
   }
-  EXPECT_EQ(executor.counters(Priority::kNormal).completed, 2u);
-  EXPECT_EQ(executor.counters(Priority::kNormal).shed, 6u);  // lifetime
+  EXPECT_EQ(started(metrics, Priority::kNormal), 2u);
+  EXPECT_EQ(shed_runs(metrics, Priority::kNormal), 6u);  // lifetime
 }
 
 TEST(ExecutorQueue, RetryAfterHintScalesWithBacklogAndClamps) {
@@ -256,7 +291,8 @@ TEST(ExecutorQueue, RetryAfterHintScalesWithBacklogAndClamps) {
 }
 
 TEST(ExecutorQueue, StopRequestedBeforeDispatchYieldsCancelledReports) {
-  Executor executor({.jobs = 1});
+  util::MetricsRegistry metrics;
+  Executor executor({.jobs = 1, .metrics = &metrics});
   RunControl control;
   control.request_stop();
   Executor::Admission admission = executor.submit(
@@ -267,15 +303,19 @@ TEST(ExecutorQueue, StopRequestedBeforeDispatchYieldsCancelledReports) {
     EXPECT_TRUE(report.provenance.cancelled);
     EXPECT_EQ(report.evaluations, 0u);
   }
-  // A cancelled run still completed, queue-wise.
-  EXPECT_EQ(executor.counters(Priority::kBatch).completed, 2u);
+  // A cancelled run still went through the queue, and counts cancelled.
+  EXPECT_EQ(started(metrics, Priority::kBatch), 2u);
+  EXPECT_EQ(class_count(metrics, "moela_runs_cancelled_total",
+                        Priority::kBatch),
+            2u);
 }
 
 TEST(ExecutorQueue, DefaultConfigNeverShedsAnInProcessBatch) {
   // 1500 runs is past the daemon's default max_queued of 1024; an
   // in-process Executor has no bound, so the whole batch is admitted.
   // The pre-stopped control makes every run a cancelled report at once.
-  Executor executor({.jobs = 2});
+  util::MetricsRegistry metrics;
+  Executor executor({.jobs = 2, .metrics = &metrics});
   RunControl control;
   control.request_stop();
   std::vector<RunRequest> requests(1500, zdt1_request(1));
@@ -285,8 +325,8 @@ TEST(ExecutorQueue, DefaultConfigNeverShedsAnInProcessBatch) {
   for (const RunReport& report : reports) {
     EXPECT_TRUE(report.provenance.cancelled);
   }
-  EXPECT_EQ(executor.counters(Priority::kNormal).completed, 1500u);
-  EXPECT_EQ(executor.counters(Priority::kNormal).shed, 0u);
+  EXPECT_EQ(started(metrics, Priority::kNormal), 1500u);
+  EXPECT_EQ(shed_runs(metrics, Priority::kNormal), 0u);
 }
 
 }  // namespace

@@ -6,7 +6,8 @@
 // auxiliary verbs, progress streaming, the transport's per-call latency
 // (no delayed-ACK stall), the per-connection in-flight bound,
 // the scheduler's wire surface (priority classes, admission shedding,
-// per-class health counters, starvation freedom), error answers, the
+// per-class health load and per-class counts, starvation freedom), the
+// health verb's liveness-and-load key set, error answers, the
 // checkpoint/resume surface (snapshot events, snapshot_dir persistence,
 // severed connections — via tests/fault_injection.hpp), and the shutdown
 // drain.
@@ -23,6 +24,7 @@
 #include <future>
 #include <memory>
 #include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -120,6 +122,40 @@ void expect_equal_modulo_cache(const api::RunReport& direct,
   // not run content.
 }
 
+/// A lifetime count from a registry snapshot (the metrics verb's
+/// "metrics" object, or Server::metrics().snapshot_json()): the sum over a
+/// family's series of a histogram's count or a counter's value, only the
+/// series labelled `cls` when one is given. 0 when the family is absent.
+std::uint64_t series_total(const Json& metrics, const std::string& family,
+                           const std::string& cls = {}) {
+  const Json* found = metrics.find(family);
+  if (found == nullptr) return 0;
+  std::uint64_t total = 0;
+  for (const Json& series : found->find("series")->as_array()) {
+    if (!cls.empty() &&
+        series.find("labels")->find("class")->as_string() != cls) {
+      continue;
+    }
+    const Json* count = series.find("count");
+    total += (count != nullptr ? count : series.find("value"))->as_u64();
+  }
+  return total;
+}
+
+/// The daemon's registry as the metrics verb serves it.
+Json metrics_of(Client& client) { return *client.metrics().find("metrics"); }
+
+/// Runs a worker started, cache hits included: the queue-wait histogram's
+/// count.
+constexpr const char* kRunsStarted = "moela_sched_queue_wait_seconds";
+
+/// The names of a JSON object's members.
+std::set<std::string> keys_of(const Json& object) {
+  std::set<std::string> keys;
+  for (const auto& member : object.as_object()) keys.insert(member.first);
+  return keys;
+}
+
 // --- the acceptance property ---------------------------------------------
 
 TEST(Serve, ReportsBitIdenticalToDirectExecutor) {
@@ -142,7 +178,8 @@ TEST(Serve, ReportsBitIdenticalToDirectExecutor) {
     expect_equal_modulo_cache(direct_reports[i], served_reports[i]);
     EXPECT_FALSE(served_reports[i].provenance.cache_hit);
   }
-  EXPECT_EQ(fixture.server->runs_handled(), requests.size());
+  EXPECT_EQ(series_total(metrics_of(fixture.client), kRunsStarted),
+            requests.size());
 }
 
 TEST(Serve, DesignsSurviveTheWire) {
@@ -300,12 +337,17 @@ TEST(Serve, CacheStatsVerb) {
   fixture.client.run({zdt1_request("moela")});
 
   const Json response = fixture.client.cache_stats();
+  EXPECT_EQ(keys_of(response), (std::set<std::string>{"id", "ok", "cache"}));
   const Json* cache = response.find("cache");
   ASSERT_NE(cache, nullptr);
   EXPECT_TRUE(cache->find("enabled")->as_bool());
   EXPECT_EQ(cache->find("stores")->as_u64(), 1u);
   EXPECT_EQ(cache->find("memory_hits")->as_u64(), 1u);
-  EXPECT_EQ(response.find("runs_handled")->as_u64(), 2u);
+  // The cache block reads the moela_cache_* counters the metrics verb
+  // serves: one store of each count.
+  const Json metrics = metrics_of(fixture.client);
+  EXPECT_EQ(series_total(metrics, "moela_cache_stores_total"), 1u);
+  EXPECT_EQ(series_total(metrics, kRunsStarted), 2u);
 }
 
 TEST(Serve, HealthVerbReportsLoadAndCounters) {
@@ -314,19 +356,46 @@ TEST(Serve, HealthVerbReportsLoadAndCounters) {
   EXPECT_TRUE(cold.find("ok")->as_bool());
   EXPECT_TRUE(cold.find("accepting")->as_bool());
   EXPECT_EQ(cold.find("inflight")->as_u64(), 0u);
-  EXPECT_EQ(cold.find("runs_handled")->as_u64(), 0u);
+  EXPECT_EQ(series_total(metrics_of(fixture.client), kRunsStarted), 0u);
   EXPECT_GE(cold.find("jobs")->as_u64(), 1u);
   // Fleet operators tell builds and fresh (cold-cache) daemons apart by
   // these two fields.
   EXPECT_EQ(cold.find("version")->as_string(), kServerVersion);
   EXPECT_GE(cold.find("uptime_seconds")->as_double(), 0.0);
-  ASSERT_NE(cold.find("cache"), nullptr);
-  EXPECT_FALSE(cold.find("cache")->find("enabled")->as_bool());
+  const Json cache_stats = fixture.client.cache_stats();
+  ASSERT_NE(cache_stats.find("cache"), nullptr);
+  EXPECT_FALSE(cache_stats.find("cache")->find("enabled")->as_bool());
 
   fixture.client.run({zdt1_request("moela")});
   const Json warm = fixture.client.health();
-  EXPECT_EQ(warm.find("runs_handled")->as_u64(), 1u);
+  EXPECT_EQ(series_total(metrics_of(fixture.client), kRunsStarted), 1u);
   EXPECT_EQ(warm.find("inflight")->as_u64(), 0u);
+}
+
+TEST(Serve, HealthReportsLivenessAndLoadOnly) {
+  // The exact key set, after a run and a cancel have given the lifetime
+  // counts something to report: those counts live in the metrics verb
+  // alone.
+  ServerFixture fixture;
+  fixture.client.run({zdt1_request("nsga2")});
+  EXPECT_FALSE(fixture.client.cancel(424242));
+  const Json health = fixture.client.health();
+  EXPECT_EQ(keys_of(health),
+            (std::set<std::string>{"id", "ok", "server", "protocol",
+                                   "version", "uptime_seconds", "accepting",
+                                   "jobs", "inflight", "max_inflight",
+                                   "queued", "running", "max_queued",
+                                   "classes"}));
+  EXPECT_EQ(health.find("protocol")->as_u64(), 2u);
+  const Json* classes = health.find("classes");
+  ASSERT_NE(classes, nullptr);
+  EXPECT_EQ(keys_of(*classes),
+            (std::set<std::string>{"interactive", "normal", "batch"}));
+  for (const char* name : {"interactive", "normal", "batch"}) {
+    EXPECT_EQ(keys_of(*classes->find(name)),
+              (std::set<std::string>{"queued", "running"}))
+        << name;
+  }
 }
 
 // --- progress streaming ---------------------------------------------------
@@ -434,11 +503,15 @@ TEST(Serve, CancelMidRunReturnsCancelledReportsAndFreesSlots) {
 
   // Slots released, cancellations counted, and the daemon still serving.
   EXPECT_EQ(fixture.server->inflight_total(), 0u);
-  EXPECT_EQ(fixture.server->runs_cancelled(), 2u);
+  EXPECT_EQ(series_total(fixture.server->metrics().snapshot_json(),
+                         "moela_runs_cancelled_total"),
+            2u);
   const Json health = fixture.client.health();
   EXPECT_TRUE(health.find("accepting")->as_bool());
   EXPECT_EQ(health.find("inflight")->as_u64(), 0u);
-  EXPECT_EQ(health.find("runs_cancelled")->as_u64(), 2u);
+  EXPECT_EQ(series_total(metrics_of(fixture.client),
+                         "moela_runs_cancelled_total"),
+            2u);
   const api::RunReport after =
       fixture.client.run({zdt1_request("moela")}).front();
   EXPECT_FALSE(after.provenance.cancelled);
@@ -510,7 +583,9 @@ TEST(Serve, CancelAfterCompletionIsANoOp) {
   EXPECT_FALSE(fixture.client.cancel(run_id));
   EXPECT_FALSE(fixture.client.cancel(run_id));
   EXPECT_FALSE(fixture.client.cancel(424242));
-  EXPECT_EQ(fixture.server->runs_cancelled(), 0u);
+  EXPECT_EQ(series_total(fixture.server->metrics().snapshot_json(),
+                         "moela_runs_cancelled_total"),
+            0u);
 
   // The connection survives and the daemon keeps serving.
   EXPECT_TRUE(fixture.client.ping());
@@ -735,7 +810,7 @@ TEST(Serve, MalformedPriorityIsRejected) {
 
   // The typo was rejected at the door: nothing ran, nothing leaked.
   EXPECT_EQ(fixture.server->inflight_total(), 0u);
-  EXPECT_EQ(fixture.server->runs_handled(), 0u);
+  EXPECT_EQ(series_total(metrics_of(fixture.client), kRunsStarted), 0u);
 }
 
 TEST(Serve, HealthReportsPerClassSchedulerCounters) {
@@ -746,22 +821,23 @@ TEST(Serve, HealthReportsPerClassSchedulerCounters) {
   EXPECT_GE(cold.find("max_queued")->as_u64(), 1u);
   const Json* classes = cold.find("classes");
   ASSERT_NE(classes, nullptr);
+  const Json cold_metrics = metrics_of(fixture.client);
   for (const char* name : {"interactive", "normal", "batch"}) {
     const Json* cls = classes->find(name);
     ASSERT_NE(cls, nullptr) << name;
     EXPECT_EQ(cls->find("queued")->as_u64(), 0u) << name;
     EXPECT_EQ(cls->find("running")->as_u64(), 0u) << name;
-    EXPECT_EQ(cls->find("completed")->as_u64(), 0u) << name;
-    EXPECT_EQ(cls->find("shed")->as_u64(), 0u) << name;
+    // The lifetime per-class counts are the metrics verb's.
+    EXPECT_EQ(series_total(cold_metrics, kRunsStarted, name), 0u) << name;
+    EXPECT_EQ(series_total(cold_metrics, "moela_runs_shed_total", name), 0u)
+        << name;
   }
 
   fixture.client.run({zdt1_request("moela")}, false, nullptr, nullptr,
                      api::Priority::kBatch);
-  const Json warm = fixture.client.health();
-  const Json* batch = warm.find("classes")->find("batch");
-  EXPECT_EQ(batch->find("completed")->as_u64(), 1u);
-  EXPECT_EQ(warm.find("classes")->find("normal")->find("completed")->as_u64(),
-            0u);
+  const Json warm = metrics_of(fixture.client);
+  EXPECT_EQ(series_total(warm, kRunsStarted, "batch"), 1u);
+  EXPECT_EQ(series_total(warm, kRunsStarted, "normal"), 0u);
 }
 
 TEST(Serve, InteractiveOvertakesSaturatingBatchSweep) {
@@ -804,13 +880,10 @@ TEST(Serve, InteractiveOvertakesSaturatingBatchSweep) {
   EXPECT_EQ(interactive.provenance.priority, "interactive");
 
   // The witness: when the interactive answer arrived, the batch sweep had
-  // NOT drained — only a bounded prefix of it had completed.
-  const Json during = fixture.client.health();
-  const Json* classes = during.find("classes");
-  ASSERT_NE(classes, nullptr);
-  EXPECT_EQ(classes->find("interactive")->find("completed")->as_u64(), 1u);
-  EXPECT_LT(classes->find("batch")->find("completed")->as_u64(),
-            sweep.size());
+  // NOT drained — only a bounded prefix of it had started.
+  const Json during = metrics_of(fixture.client);
+  EXPECT_EQ(series_total(during, kRunsStarted, "interactive"), 1u);
+  EXPECT_LT(series_total(during, kRunsStarted, "batch"), sweep.size());
 
   sweeper.join();
   ASSERT_EQ(sweep_reports.size(), sweep.size());
@@ -871,9 +944,9 @@ TEST(Serve, QueueFullShedsWithStructuredOverloadAndNoSlotLeak) {
         << e.what();
   }
   const Json shed_health = fixture.client.health();
-  EXPECT_EQ(
-      shed_health.find("classes")->find("normal")->find("shed")->as_u64(),
-      1u);
+  EXPECT_EQ(series_total(metrics_of(fixture.client), "moela_runs_shed_total",
+                         "normal"),
+            1u);
   // One worker, one run executing and two queued: `inflight` counts every
   // admitted run once, the queued ones included.
   EXPECT_EQ(shed_health.find("queued")->as_u64(), 2u);  // untouched backlog
@@ -942,10 +1015,10 @@ TEST(Serve, StreamedSnapshotResumesBitIdentically) {
   const api::RunReport resumed = fixture.client.run({request}).front();
   EXPECT_FALSE(resumed.provenance.cancelled);
   expect_equal_modulo_cache(reference, resumed);
-  const Json health = fixture.client.health();
-  EXPECT_GE(health.find("runs_resumed")->as_u64(), 1u);
+  const Json metrics = metrics_of(fixture.client);
+  EXPECT_GE(series_total(metrics, "moela_runs_resumed_total"), 1u);
   // No snapshot_dir on this daemon: nothing was persisted.
-  EXPECT_EQ(health.find("snapshots_written")->as_u64(), 0u);
+  EXPECT_EQ(series_total(metrics, "moela_snapshots_written_total"), 0u);
 }
 
 TEST(Serve, SnapshotDirPersistsAndAutoResumes) {
@@ -975,9 +1048,10 @@ TEST(Serve, SnapshotDirPersistsAndAutoResumes) {
                })
           .front();
   ASSERT_NE(harvested, nullptr);
-  const Json after_complete = fixture.client.health();
-  EXPECT_GE(after_complete.find("snapshots_written")->as_u64(), 1u);
-  EXPECT_EQ(after_complete.find("runs_resumed")->as_u64(), 0u);
+  const Json after_complete = metrics_of(fixture.client);
+  EXPECT_GE(series_total(after_complete, "moela_snapshots_written_total"),
+            1u);
+  EXPECT_EQ(series_total(after_complete, "moela_runs_resumed_total"), 0u);
   const std::filesystem::path snap_file =
       dir / (api::ResultCache::hash_key(api::snapshot_fingerprint(request)) +
              ".snap");
@@ -996,8 +1070,8 @@ TEST(Serve, SnapshotDirPersistsAndAutoResumes) {
   }
   const api::RunReport resumed = fixture.client.run({request}).front();
   expect_equal_modulo_cache(reference, resumed);
-  const Json after_resume = fixture.client.health();
-  EXPECT_GE(after_resume.find("runs_resumed")->as_u64(), 1u);
+  const Json after_resume = metrics_of(fixture.client);
+  EXPECT_GE(series_total(after_resume, "moela_runs_resumed_total"), 1u);
   EXPECT_FALSE(std::filesystem::exists(snap_file));
 
   // A stale snapshot — wrong fingerprint for this request — is ignored,
@@ -1056,10 +1130,11 @@ TEST(Serve, SeveredConnectionMidBatchLeavesDaemonServing) {
   // The daemon survives the abandonment: the orphaned batch runs to
   // completion server-side, slots drain to zero, and a fresh client gets
   // full service.
-  const Json drained = wait_for_health(fixture.client, [](const Json& h) {
-    return util::u64_field_or(h, "inflight", 0) == 0 &&
-           util::u64_field_or(h, "runs_handled", 0) >= 1;
-  });
+  const Json drained =
+      wait_for_health(fixture.client, [&fixture](const Json& h) {
+        return util::u64_field_or(h, "inflight", 0) == 0 &&
+               series_total(metrics_of(fixture.client), kRunsStarted) >= 1;
+      });
   EXPECT_TRUE(drained.find("accepting")->as_bool());
   const api::RunReport after =
       fixture.client.run({zdt1_request("nsga2")}).front();
@@ -1076,7 +1151,9 @@ TEST(Serve, ShutdownVerbDrainsTheServer) {
   // done. (A hang here is the test failure, via the test timeout.)
   fixture.server->wait();
   EXPECT_TRUE(fixture.server->shutdown_requested());
-  EXPECT_EQ(fixture.server->runs_handled(), 1u);
+  EXPECT_EQ(
+      series_total(fixture.server->metrics().snapshot_json(), kRunsStarted),
+      1u);
   // New connections are refused after the drain.
   Client late;
   EXPECT_THROW(late.connect("127.0.0.1", fixture.server->port()),
@@ -1136,7 +1213,9 @@ TEST(Serve, HardStopDuringDrainCancelsInFlightBatch) {
   ASSERT_EQ(reports.size(), 1u);
   EXPECT_TRUE(reports[0].provenance.cancelled);
   EXPECT_LT(reports[0].evaluations, 50000000u);
-  EXPECT_EQ(fixture.server->runs_cancelled(), 1u);
+  EXPECT_EQ(series_total(fixture.server->metrics().snapshot_json(),
+                         "moela_runs_cancelled_total"),
+            1u);
 }
 
 TEST(Serve, ProgrammaticShutdownUnblocksIdleConnections) {

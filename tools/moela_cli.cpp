@@ -41,6 +41,7 @@
 // column, '#' provenance comments per run); run metadata goes to stderr so
 // pipelines stay clean.
 #include <atomic>
+#include <cmath>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
@@ -199,14 +200,18 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
     out = parsed;
     return true;
   };
-  auto double_value = [&](int& i, const char* flag, double& out) -> bool {
+  // A seconds budget: a finite number >= 0 with no padding or suffix.
+  // -5, nan, inf and 1e400 would each read as "no budget" yet still feed
+  // the cache key; -0 is refused with them, so 0 has one spelling.
+  auto seconds_value = [&](int& i, const char* flag, double& out) -> bool {
     const char* v = need_value(i, flag);
     if (v == nullptr) return false;
-    char* end = nullptr;
-    const double parsed = std::strtod(v, &end);
-    if (end == v || *end != '\0') {
-      std::fprintf(stderr, "moela_cli: %s wants a number, got '%s'\n", flag,
-                   v);
+    double parsed = 0.0;
+    if (!util::parse_double(v, parsed) || !std::isfinite(parsed) ||
+        std::signbit(parsed)) {
+      std::fprintf(stderr,
+                   "moela_cli: %s wants a finite number >= 0, got '%s'\n",
+                   flag, v);
       return false;
     }
     out = parsed;
@@ -237,7 +242,7 @@ std::optional<CliOptions> parse_args(int argc, char** argv) {
         return std::nullopt;
       }
     } else if (arg == "--seconds") {
-      if (!double_value(i, "--seconds", cli.run_options.max_seconds)) {
+      if (!seconds_value(i, "--seconds", cli.run_options.max_seconds)) {
         return std::nullopt;
       }
     } else if (arg == "--seed") {

@@ -19,13 +19,16 @@
 // third falls back to the default disposition (hard kill). Clients cancel
 // their own in-flight batches with the protocol's cancel verb — a
 // client-side Ctrl-C never needs to touch the daemon's ladder.
+#include <algorithm>
 #include <atomic>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "api/result_cache.hpp"
@@ -160,20 +163,29 @@ std::optional<ServeCliOptions> parse_args(
       }
     } else if (arg == "--weights") {
       if ((v = need_value(i, "--weights")) == nullptr) return std::nullopt;
-      unsigned interactive = 0, normal = 0, batch = 0;
-      char trailing = '\0';
-      if (std::sscanf(v, "%u,%u,%u%c", &interactive, &normal, &batch,
-                      &trailing) != 3 ||
-          interactive == 0 || normal == 0 || batch == 0) {
+      // Exactly three comma-separated fields, each a strict integer in
+      // [1, 2^32 - 1]: no sign, padding or suffix.
+      const std::string_view text = v;
+      bool ok = std::count(text.begin(), text.end(), ',') == 2;
+      std::size_t start = 0;
+      for (std::uint32_t* weight :
+           {&cli.config.weights.interactive, &cli.config.weights.normal,
+            &cli.config.weights.batch}) {
+        const std::size_t end = std::min(text.find(',', start), text.size());
+        std::uint64_t parsed = 0;
+        ok = ok && util::parse_u64(text.substr(start, end - start), parsed) &&
+             parsed >= 1 &&
+             parsed <= std::numeric_limits<std::uint32_t>::max();
+        if (ok) *weight = static_cast<std::uint32_t>(parsed);
+        start = end + 1;
+      }
+      if (!ok) {
         std::fprintf(stderr,
-                     "moela_serve: --weights wants three positive integers "
-                     "I,N,B, got '%s'\n",
+                     "moela_serve: --weights wants three integers I,N,B in "
+                     "[1, 4294967295], got '%s'\n",
                      v);
         return std::nullopt;
       }
-      cli.config.weights.interactive = interactive;
-      cli.config.weights.normal = normal;
-      cli.config.weights.batch = batch;
     } else if (arg == "--no-cache") {
       cli.config.use_cache = false;
     } else if (arg == "--cache-dir") {
@@ -296,8 +308,7 @@ int main(int argc, char** argv) {
                      parsed->metrics_dump_path.c_str());
       }
     }
-    std::fprintf(stderr, "moela_serve: drained, %llu run(s) handled; bye\n",
-                 static_cast<unsigned long long>(server.runs_handled()));
+    std::fprintf(stderr, "moela_serve: drained; bye\n");
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "moela_serve: %s\n", e.what());
